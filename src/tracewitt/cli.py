@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -21,6 +22,7 @@ from .congruences import (
     check_character,
     check_exterior_congruence,
     check_trace_sequence,
+    is_prime,
     synthesize,
 )
 from .matrices import IntMatrix, encode_int, random_matrix, trace_sequence, char_poly_coeffs
@@ -206,6 +208,10 @@ def cmd_check_character(args, parser) -> int:
 
 
 def cmd_check_exterior(args, parser) -> int:
+    if args.kmax < 1:
+        parser.error("--kmax must be at least 1")
+    if not is_prime(args.prime):
+        raise ValueError(f"{args.prime} is not prime")
     matrix = IntMatrix.from_json_dict(_load_json(args.matrix))
     rows = []
     for k in range(1, args.kmax + 1):
@@ -328,7 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extras = parser.parse_known_args(argv)
+    # argparse takes a sequence that starts with a negative value, such as
+    # "-2,3", for an unknown option; it is the positional sequence.
+    if len(extras) == 1 and getattr(args, "values", "") is None and re.match(r"-\d", extras[0]):
+        args.values = extras.pop()
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args, parser)
     except (ValueError, OSError) as exc:

@@ -17,7 +17,7 @@ verdict, so failures are self-explaining.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -164,7 +164,8 @@ def check_trace_sequence(
 
     For every index n and every prime-power part n = p^k * s, one row checks
     ``b_n == b_{n/p} (mod p^k)``.  All rows passing is both necessary and
-    sufficient for an N x N integer witness to exist.
+    sufficient for an integer witness to exist; its dimension is the degree
+    of det(1 + t*f) recovered from b, at most N.
 
     >>> check_trace_sequence([0, 1]).overall
     False
@@ -185,17 +186,23 @@ def synthesize(traces: Sequence[int], *, self_check: bool = True) -> IntMatrix:
 
     The witness is the companion matrix of the characteristic coefficients
     recovered through Newton's identities; those coefficients are integral
-    precisely because the congruences hold.  With ``self_check`` (default)
-    the traces are recomputed from the result before returning.
+    precisely because the congruences hold.  Trailing zero coefficients are
+    dropped, so the witness dimension is deg det(1 + t*f) <= N: the smallest
+    companion that reproduces all N traces (``synthesize([2, 4, 8, 16])`` is
+    ``[[2]]``).  With ``self_check`` (default) the traces are recomputed from
+    the result before returning.
 
     Raises :class:`InvalidTraceSequenceError`, carrying the failing report
-    rows, when the sequence is not a trace sequence.
+    rows and the Witt witness, when the sequence is not a trace sequence.
     """
-    report = check_trace_sequence(traces, with_witness=True)
+    report = check_trace_sequence(traces)
     if not report.overall:
-        raise InvalidTraceSequenceError(report)
-    coeffs = traces_to_elementary(traces)
-    matrix = companion_matrix(as_integers(coeffs))
+        raise InvalidTraceSequenceError(replace(report, witness=witt_from_ghost(traces)))
+    coeffs = as_integers(traces_to_elementary(traces))
+    degree = len(coeffs)
+    while degree and coeffs[degree - 1] == 0:
+        degree -= 1
+    matrix = companion_matrix(coeffs[:degree])
     if self_check and trace_sequence(matrix, len(traces)) != tuple(traces):
         raise ArithmeticError("synthesized matrix fails to reproduce its traces; this is a bug")
     return matrix
@@ -371,8 +378,10 @@ def check_character(table: CharacterTable, k_max: int | None = None) -> Congruen
     where K(p) is :func:`character_check_bound` by default or the explicit
     ``k_max`` cap when given.  The policy section of the report records the
     bounds actually used.  True characters always pass; a corrupted table
-    generally does not.
+    generally does not.  A cap below 1 would check nothing and is rejected.
     """
+    if k_max is not None and k_max < 1:
+        raise ValueError("k_max must be at least 1")
     m = table.order
     max_abs = max((abs(v) for v in table.values), default=0)
     primes = [p for p in range(2, m + 1) if is_prime(p)]

@@ -14,13 +14,17 @@ Newton's recursion
 
 converts one into the other.  Going from traces to coefficients divides by
 ``n``, so the result is a priori rational; whether it is integral is exactly
-the question the congruence checker answers.  Everything here runs over
-exact rationals (:class:`fractions.Fraction`) -- no floating point, ever.
+the question the congruence checker answers.  The recursion runs on integer
+numerators over one common denominator, which stays 1 for a trace
+sequence; :class:`fractions.Fraction` appears only in the output (and for
+rational input) -- no floating point, ever.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -37,14 +41,27 @@ def traces_to_elementary(traces: Sequence[Scalar]) -> tuple[Fraction, ...]:
     >>> traces_to_elementary([0, 1])
     (Fraction(0, 1), Fraction(-1, 2))
     """
-    coeffs = [Fraction(1)]
-    for n in range(1, len(traces) + 1):
-        acc = Fraction(0)
-        for i in range(1, n + 1):
-            term = coeffs[n - i] * traces[i - 1]
-            acc = acc + term if i % 2 else acc - term
-        coeffs.append(acc / n)
-    return tuple(coeffs[1:])
+    # a_k = numer[k] / denom throughout.  At step n the sum acc equals
+    # n * denom * a_n; the common denominator grows by n // gcd(acc, n) only
+    # when n does not divide acc, which never happens for a trace sequence.
+    signed: list[Scalar] = []
+    for i, b in enumerate(traces, start=1):
+        b = b if isinstance(b, int) else Fraction(b)
+        signed.append(b if i % 2 else -b)
+    numer: list[Scalar] = [1]
+    denom = 1
+    for n in range(1, len(signed) + 1):
+        acc = sum(map(mul, reversed(numer), signed))
+        if isinstance(acc, int):
+            g = gcd(acc, n)
+            if g != n:
+                scale = n // g
+                numer = [x * scale for x in numer]
+                denom *= scale
+            numer.append(acc // g)
+        else:
+            numer.append(acc / n)
+    return tuple(Fraction(x, denom) for x in numer[1:])
 
 
 def elementary_to_traces(coeffs: Sequence[Scalar], n_max: int) -> tuple[Scalar, ...]:

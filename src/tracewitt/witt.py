@@ -129,23 +129,28 @@ def witt_from_ghost(ghosts: Sequence[Scalar]) -> tuple[Fraction, ...]:
 
     The division by n makes the result rational in general; the coordinates
     are all integers exactly when the ghosts satisfy the prime-power trace
-    congruences.
+    congruences.  Integer residues are divided with exact ``divmod``; a
+    :class:`~fractions.Fraction` enters only at a coordinate that does not
+    divide, and the result is returned as fractions throughout.
 
     >>> witt_from_ghost([2, 4, 8, 16])
     (Fraction(2, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1))
     >>> witt_from_ghost([0, 1])
     (Fraction(0, 1), Fraction(1, 2))
     """
-    witt: list[Fraction] = []
+    witt: list[Scalar] = []
     for n, b in enumerate(ghosts, start=1):
-        residue = Fraction(b)
-        for d in divisors(n):
-            if d < n:
-                x = witt[d - 1]
-                if x != 0:
-                    residue -= d * x ** (n // d)
-        witt.append(residue / n)
-    return tuple(witt)
+        residue = b if isinstance(b, int) else Fraction(b)
+        for d in divisors(n)[:-1]:
+            x = witt[d - 1]
+            if x != 0:
+                residue -= d * x ** (n // d)
+        if isinstance(residue, int):
+            quotient, remainder = divmod(residue, n)
+            witt.append(Fraction(residue, n) if remainder else quotient)
+        else:
+            witt.append(residue / n)
+    return tuple(map(Fraction, witt))
 
 
 __all__ = [

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from tracewitt.cli import main, run_fuzz
 
 
@@ -68,6 +70,12 @@ class TestCheckTraces:
 
     def test_no_sequence_given(self):
         assert run_cli("check-traces").returncode == 2
+
+    def test_leading_negative_positional(self):
+        proc = run_cli("check-traces", "-2,3")
+        assert proc.returncode == 1
+        assert proc.stdout == run_cli("check-traces", "--traces=-2,3").stdout
+        assert "2  2^1    3       -2     5     FAIL" in proc.stdout
 
 
 class TestSynthesize:
@@ -150,6 +158,13 @@ class TestCharacterCommand:
         report = json.loads(proc.stdout)
         assert all(c["k"] == 1 for c in report["checks"])
 
+    def test_zero_kmax_rejected(self, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"order": 2, "values": {"0": 2, "1": 1}}))
+        proc = run_cli("check-character", str(path), "--kmax", "0")
+        assert proc.returncode == 2
+        assert "PASS" not in proc.stdout
+
 
 class TestExteriorCommand:
     def test_fibonacci_matrix_passes(self, tmp_path):
@@ -163,6 +178,14 @@ class TestExteriorCommand:
         path = tmp_path / "fib.json"
         path.write_text('{"dim":2,"entries":[[0,1],[1,1]]}')
         assert run_cli("check-exterior", str(path), "--prime", "4").returncode == 2
+
+    @pytest.mark.parametrize("prime", ["2", "4"])
+    def test_zero_kmax_rejected(self, tmp_path, prime):
+        path = tmp_path / "fib.json"
+        path.write_text('{"dim":2,"entries":[[0,1],[1,1]]}')
+        proc = run_cli("check-exterior", str(path), "--prime", prime, "--kmax", "0")
+        assert proc.returncode == 2
+        assert "PASS" not in proc.stdout
 
 
 class TestTimestamps:

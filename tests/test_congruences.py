@@ -24,7 +24,13 @@ from tracewitt import (
     trace_sequence,
 )
 
-from .oracles import character_violations, naive_pow, naive_trace, sieve_primes
+from .oracles import (
+    char_coeffs_perm,
+    character_violations,
+    naive_pow,
+    naive_trace,
+    sieve_primes,
+)
 
 
 def test_is_prime_small_table():
@@ -110,11 +116,19 @@ class TestSynthesize:
     def test_empty(self):
         assert synthesize([]).dim == 0
 
+    def test_dimension_is_degree(self):
+        assert synthesize([2, 4, 8, 16]).entries == ((2,),)
+        assert synthesize([0, 0, 0]).dim == 0
+
     @settings(deadline=None)
     @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**64 - 1))
     def test_round_trip_on_matrix_traces(self, dim, seed):
-        b = trace_sequence(random_matrix(dim, 3, seed), dim + 3)
-        assert trace_sequence(synthesize(b), len(b)) == b
+        f = random_matrix(dim, 3, seed)
+        b = trace_sequence(f, dim + 3)
+        witness = synthesize(b)
+        assert trace_sequence(witness, len(b)) == b
+        coeffs = char_coeffs_perm([list(row) for row in f.entries])
+        assert witness.dim == max((i for i, a in enumerate(coeffs, 1) if a), default=0)
 
     def test_self_check_can_be_disabled(self):
         assert synthesize([1, 3], self_check=False).entries == ((0, 1), (1, 1))
@@ -300,6 +314,11 @@ class TestCheckCharacter:
         report = check_character(regular_table(6), k_max=1)
         assert report.policy["mode"] == "cap"
         assert all(r.k == 1 for r in report.checks)
+
+    def test_zero_cap_rejected(self):
+        # a cap of 0 would check no rows and pass a corrupted table
+        with pytest.raises(ValueError):
+            check_character(CharacterTable(2, (2, 1)), k_max=0)
 
     def test_order_one_vacuous(self):
         assert check_character(CharacterTable(1, (7,))).overall

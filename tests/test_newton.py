@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracewitt import elementary_to_traces, integrality_check, traces_to_elementary
@@ -84,3 +84,35 @@ def test_as_integers_rejects_non_integral():
 def test_fraction_inputs_allowed():
     coeffs = traces_to_elementary([Fraction(1, 2)])
     assert coeffs == (Fraction(1, 2),)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(min_value=-50, max_value=50), max_size=60))
+def test_series_oracle_on_arbitrary_integers(b):
+    # almost every such b is not a trace sequence: the common denominator
+    # grows at many steps
+    coeffs = traces_to_elementary(b)
+    assert all(type(a) is Fraction for a in coeffs)
+    assert series_traces(list(coeffs), len(b)) == b
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=10),
+    st.integers(min_value=5, max_value=60),
+    st.integers(min_value=1, max_value=5),
+)
+def test_series_oracle_on_early_bump(a, n, pos):
+    # a +1 at an early position spoils integrality from there on
+    b = list(elementary_to_traces(a, n))
+    b[pos - 1] += 1
+    coeffs = traces_to_elementary(b)
+    assert integrality_check(coeffs)
+    assert series_traces(list(coeffs), n) == b
+
+
+@given(st.lists(st.fractions(max_denominator=12) | st.integers(-30, 30), max_size=12))
+def test_series_oracle_on_rationals(b):
+    coeffs = traces_to_elementary(b)
+    assert all(type(a) is Fraction for a in coeffs)
+    assert series_traces(list(coeffs), len(b)) == b

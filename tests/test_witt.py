@@ -106,7 +106,14 @@ class TestGhostInverse:
     @given(INT_VECS)
     def test_reverse_round_trip(self, b):
         witt = witt_from_ghost(b)
+        assert all(type(x) is Fraction for x in witt)
         assert ghost_from_witt(witt, len(b)) == tuple(map(Fraction, b))
+
+    @given(st.lists(st.fractions(max_denominator=12) | st.integers(-20, 20), max_size=10))
+    def test_reverse_round_trip_on_rationals(self, b):
+        witt = witt_from_ghost(b)
+        assert all(type(x) is Fraction for x in witt)
+        assert ghost_from_witt(witt, len(b)) == tuple(b)
 
 
 class TestCharacterizationBridge:

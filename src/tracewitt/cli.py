@@ -25,7 +25,7 @@ from .congruences import (
     is_prime,
     synthesize,
 )
-from .matrices import IntMatrix, encode_int, random_matrix, trace_sequence, char_poly_coeffs
+from .matrices import IntMatrix, char_poly_coeffs, encode_int, parse_decimal, random_matrix, trace_sequence
 from .newton import Scalar
 from .rng import SplitMix64
 from .witt import ghost_from_witt, witt_from_ghost
@@ -34,22 +34,13 @@ OK, MATH_FAIL, INPUT_ERROR = 0, 1, 2
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    values = []
-    for token in text.replace(",", " ").split():
-        try:
-            values.append(int(token))
-        except ValueError:
-            raise ValueError(f"invalid integer {token!r}") from None
-    return tuple(values)
+    return tuple(parse_decimal(token) for token in text.replace(",", " ").split())
 
 
 def _parse_rationals(text: str) -> tuple[Scalar, ...]:
     values: list[Scalar] = []
     for token in text.replace(",", " ").split():
-        try:
-            q = Fraction(token)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"invalid rational {token!r}") from None
+        q = parse_decimal(token, Fraction, "rational")
         values.append(int(q) if q.denominator == 1 else q)
     return tuple(values)
 
@@ -334,18 +325,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args, extras = parser.parse_known_args(argv)
-    # argparse takes a sequence that starts with a negative value, such as
-    # "-2,3", for an unknown option; it is the positional sequence.
-    if len(extras) == 1 and getattr(args, "values", "") is None and re.match(r"-\d", extras[0]):
-        args.values = extras.pop()
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    # argparse takes "-2,3" or "-1/2" for an unknown option; after a space it is
+    # an option value or the positional sequence, and every parser here strips it.
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args([" " + a if re.match(r"-\.?\d", a) else a for a in argv])
+    # Exact results outgrow Python's default 4300-digit int/str cap.
+    saved_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if saved_limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args, parser)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    finally:
+        if saved_limit:
+            sys.set_int_max_str_digits(saved_limit)
 
 
 if __name__ == "__main__":

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .matrices import (
@@ -31,7 +33,7 @@ from .matrices import (
     mat_pow,
     trace_sequence,
 )
-from .newton import as_integers, traces_to_elementary
+from .newton import as_integers, elementary_to_traces, integrality_check, traces_to_elementary
 from .witt import witt_from_ghost
 
 
@@ -223,6 +225,48 @@ def lemma6_verify(a: int, p: int, k: int) -> bool:
     return (pow(a, p**k, modulus) - pow(a, p ** (k - 1), modulus)) % modulus == 0
 
 
+def _mul_mod(u: list[int], v: list[int], signed: Sequence[int]) -> list[int]:
+    """``u * v`` modulo ``chi(x) = x^r - signed_1*x^(r-1) - ... - signed_r`` on
+    coefficient lists, lowest degree first; by Cayley-Hamilton it is u(f)*v(f)."""
+    prod = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v, start=i):
+            prod[j] += a * b
+    while len(prod) > len(signed):
+        top = prod.pop()  # x^d = sum signed_i * x^(d-i), with d = len(prod)
+        for i, s in enumerate(signed, start=1):
+            prod[-i] += s * top
+    return prod + [0] * (len(signed) - len(prod))
+
+
+def _pow_mod(u: list[int], e: int, signed: Sequence[int]) -> list[int]:
+    """``u^e mod chi`` by square-and-multiply, for e >= 1."""
+    result = u
+    for bit in bin(e)[3:]:
+        result = _mul_mod(result, result, signed)
+        if bit == "1":
+            result = _mul_mod(result, u, signed)
+    return result
+
+
+def _char_poly_route(f: IntMatrix) -> tuple[list[int], tuple[int, ...]]:
+    """Signed coefficients of chi and the traces ``(r, b_1, ..., b_r)`` of f^0..f^r, whose
+    dot product with any u of degree <= r and ``u(f) = f^m`` is ``tr(f^m)``."""
+    coeffs = char_poly_coeffs(f)
+    signed = [a if i % 2 else -a for i, a in enumerate(coeffs, start=1)]
+    return signed, (f.dim, *elementary_to_traces(coeffs, f.dim))
+
+
+def _power_coeffs(u: list[int], signed: Sequence[int], basis: Sequence[int]) -> tuple[int, ...]:
+    """Coefficients of ``det(1 + t*f^m)`` from u with ``u(f) = f^m``, by
+    integer Newton on the traces ``tr(f^(j*m))``, j = 1..r."""
+    powers = accumulate(repeat(u, len(signed)), lambda v, w: _mul_mod(v, w, signed))
+    coeffs = traces_to_elementary([sum(map(mul, v, basis)) for v in powers])
+    if integrality_check(coeffs):
+        raise ArithmeticError("det(1 + t*f^m) came out non-integral; this is a bug, not bad input")
+    return tuple(int(c) for c in coeffs)
+
+
 def check_matrix_congruences(f: IntMatrix, p: int, k_max: int) -> CongruenceReport:
     """Trace congruences of matrix p-power powers, with all gap sizes.
 
@@ -237,11 +281,9 @@ def check_matrix_congruences(f: IntMatrix, p: int, k_max: int) -> CongruenceRepo
     _require_prime(p)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    power_traces = [f.trace()]
-    current = f
-    for _ in range(k_max):
-        current = mat_pow(current, p)
-        power_traces.append(current.trace())
+    signed, basis = _char_poly_route(f)
+    powers = accumulate(repeat(p, k_max), lambda u, e: _pow_mod(u, e, signed), initial=[0, 1])
+    power_traces = [sum(map(mul, u, basis)) for u in powers]
     rows = []
     for k in range(1, k_max + 1):
         for j in range(1, k + 1):
@@ -260,8 +302,10 @@ def check_exterior_congruence(f: IntMatrix, p: int, k: int) -> CongruenceReport:
     _require_prime(p)
     if k < 1:
         raise ValueError("k must be at least 1")
-    high = char_poly_coeffs(mat_pow(f, p**k))
-    low = char_poly_coeffs(mat_pow(f, p ** (k - 1)))
+    signed, basis = _char_poly_route(f)
+    u = _pow_mod([0, 1], p ** (k - 1), signed)  # [0, 1] is x, and x(f) = f
+    low = _power_coeffs(u, signed, basis)
+    high = _power_coeffs(_pow_mod(u, p, signed), signed, basis)
     rows = tuple(_row(i, p, k, high[i - 1], low[i - 1]) for i in range(1, f.dim + 1))
     policy = {"kind": "exterior-power", "p": p, "k": k, "dim": f.dim}
     return CongruenceReport(rows, policy)

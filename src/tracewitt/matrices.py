@@ -1,11 +1,12 @@
 """Exact dense integer matrices.
 
-Products, powers, traces, characteristic coefficients, exterior powers and
-companion forms, all over Python's arbitrary-precision integers.  Traces of
-powers overflow 64 bits almost immediately (entries of size 4 at dimension 6
-do so around the 24th power), and a single silently wrapped value would
-falsify every congruence downstream, so fixed-width arithmetic and floats
-are banned from this module outright.
+Products, powers, exterior powers and companion forms, plus characteristic
+coefficients by Berkowitz's division-free algorithm and traces of powers by
+the Newton recurrence on them (neither builds a matrix power), all over
+Python's arbitrary-precision integers.  Traces of powers overflow 64 bits
+almost immediately (entries of size 4 at dimension 6 do so around the 24th
+power), and a single silently wrapped value would falsify every congruence
+downstream, so fixed-width arithmetic and floats are banned outright.
 
 Dimension 0 and 1 matrices are ordinary values here, not errors: the empty
 matrix has ``trace(f^n) = 0`` and ``det(1 + t*f) = 1``.
@@ -13,11 +14,13 @@ matrix has ``trace(f^n) = 0`` and ``det(1 + t*f) = 1``.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from operator import mul
+from typing import Callable, Sequence
 
-from .newton import as_integers, integrality_check, traces_to_elementary
+from .newton import as_integers, elementary_to_traces
 from .rng import SplitMix64
 
 # Largest magnitude a JSON consumer with IEEE doubles can hold exactly.
@@ -35,6 +38,16 @@ def encode_int(value: int):
     return value if -_JSON_SAFE_INT <= value <= _JSON_SAFE_INT else str(value)
 
 
+def parse_decimal(token: str, convert: Callable[[str], object] = int, what: str = "integer"):
+    """``convert(token)`` for plain decimal text: ``int`` and ``Fraction``
+    alone also take ``"1_0"`` for 10 and non-ASCII digits.  A bad token
+    raises ValueError naming ``what`` and echoing at most 40 characters."""
+    with suppress(ValueError, ZeroDivisionError):
+        if "_" not in token and token.isascii():
+            return convert(token)
+    raise ValueError(f"invalid {what} {token[:40]!r}")
+
+
 def decode_int(obj: object) -> int:
     """Inverse of :func:`encode_int`: accept a JSON integer or decimal string."""
     if isinstance(obj, bool):
@@ -42,11 +55,8 @@ def decode_int(obj: object) -> int:
     if isinstance(obj, int):
         return obj
     if isinstance(obj, str):
-        try:
-            return int(obj.strip())
-        except ValueError:
-            raise ValueError(f"expected a decimal integer string, got {obj!r}") from None
-    raise ValueError(f"expected an integer or string, got {obj!r}")
+        return parse_decimal(obj.strip(), what="decimal integer string")
+    raise ValueError(f"expected an integer or string, got {repr(obj)[:40]}")
 
 
 @dataclass(frozen=True)
@@ -142,39 +152,34 @@ def mat_pow(f: IntMatrix, n: int) -> IntMatrix:
 
 
 def trace_sequence(f: IntMatrix, n_max: int) -> tuple[int, ...]:
-    """Traces of f, f^2, ..., f^n_max, one multiplication per step."""
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    if n_max == 0:
-        return ()
-    traces = [f.trace()]
-    power = f
-    for _ in range(n_max - 1):
-        power = mat_mul(power, f)
-        traces.append(power.trace())
-    return tuple(traces)
+    """Traces of f, f^2, ..., f^n_max, by the Newton recurrence on det(1 + t*f)."""
+    return elementary_to_traces(char_poly_coeffs(f), n_max)
 
 
 def char_poly_coeffs(f: IntMatrix) -> tuple[int, ...]:
-    """Coefficients a_1..a_r of ``det(1 + t*f)``.
+    """Coefficients a_1..a_r of ``det(1 + t*f)``, by Berkowitz (Inf. Proc. Lett. 18, 1984).
 
-    Computed from the trace sequence via Newton's identities; the division
-    by n in that recursion is guaranteed to cancel for integer matrices, and
-    we verify that it did.
+    Let p_k(x) = det(x - f_k) for the leading k x k block f_k, bordered by
+    the row R, column C and corner a of f_(k+1).  Then p_(k+1) is p_k times
+    1 - a*y - RC*y^2 - R f_k C*y^3 - ... - R f_k^(k-1) C*y^(k+1), y = 1/x, cut
+    at y^(k+1); with no division, integer input needs no integrality check.
 
     >>> char_poly_coeffs(IntMatrix.from_rows([[0, 1], [1, 1]]))
     (1, -1)
     >>> char_poly_coeffs(IntMatrix.identity(3))
     (3, 3, 1)
     """
-    coeffs = traces_to_elementary(trace_sequence(f, f.dim))
-    bad = integrality_check(coeffs)
-    if bad:
-        raise ArithmeticError(
-            f"characteristic coefficients came out non-integer at {bad}; "
-            "this is a bug, not bad input"
-        )
-    return tuple(int(c) for c in coeffs)
+    rows = f.entries
+    poly = [1]  # p_k, highest degree first
+    for k, row in enumerate(rows):
+        block = rows[:k]  # zip and map stop at the shorter input, so these rows act as f_k
+        col = [r[k] for r in block]
+        toeplitz = [1, -row[k]]
+        for _ in range(k):
+            toeplitz.append(-sum(map(mul, row, col)))
+            col = [sum(map(mul, r, col)) for r in block]
+        poly = [sum(map(mul, poly, toeplitz[i::-1])) for i in range(k + 2)]
+    return tuple(c if i % 2 == 0 else -c for i, c in enumerate(poly[1:], start=1))
 
 
 def _det(rows: list[list[int]]) -> int:

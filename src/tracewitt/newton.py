@@ -82,16 +82,12 @@ def elementary_to_traces(coeffs: Sequence[Scalar], n_max: int) -> tuple[Scalar, 
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    r = len(coeffs)
+    signed = [c if i % 2 else -c for i, c in enumerate(coeffs, start=1)]
     traces: list[Scalar] = []
     for n in range(1, n_max + 1):
-        acc: Scalar = 0
-        for i in range(1, min(n - 1, r) + 1):
-            term = coeffs[i - 1] * traces[n - i - 1]
-            acc = acc + term if i % 2 else acc - term
-        if n <= r:
-            lead = n * coeffs[n - 1]
-            acc = acc + lead if n % 2 else acc - lead
+        acc = sum(map(mul, signed, reversed(traces)))
+        if n <= len(signed):
+            acc += n * signed[n - 1]
         traces.append(acc)
     return tuple(traces)
 

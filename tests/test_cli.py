@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
+import io
 import json
 import subprocess
 import sys
@@ -245,3 +246,76 @@ class TestInProcessMain:
     def test_synthesize(self, capsys):
         assert main(["synthesize", "--traces", "2"]) == 0
         assert capsys.readouterr().out.strip() == '{"dim":1,"entries":[[2]]}'
+
+
+class TestInputGrammar:
+    @pytest.mark.parametrize(
+        "argv",
+        [["check-traces", "-2,3"], ["ghost", "-1/2", "--count", "2"]],
+        ids=["check-traces", "ghost"],
+    )
+    def test_negative_option_value(self, capsys, argv):
+        command, value, *rest = argv
+        code = main([command, f"--traces={value}", *rest])
+        expected = capsys.readouterr().out
+        assert main([command, "--traces", value, *rest]) == code
+        assert capsys.readouterr().out == expected
+        assert expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-traces", "1_0,2"],
+            ["check-traces", "--traces", "١٢,3"],
+            ["synthesize", "2,4_0"],
+            ["ghost", "1_0", "--count", "2"],
+            ["ghost", "1/2_0", "--count", "2"],
+            ["witt", "１,2"],
+        ],
+    )
+    def test_underscores_and_non_ascii_digits_rejected(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid ")
+
+    def test_json_string_entry_with_underscore_rejected(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO('{"dim": 1, "entries": [["1_0"]]}'))
+        assert main(["charpoly", "-"]) == 2
+        assert "'1_0'" in capsys.readouterr().err
+
+    def test_plain_forms_still_accepted(self, capsys):
+        assert main(["ghost", "1/2,.5,+3,-0.25,007,2e1", "--count", "1"]) == 0
+        assert capsys.readouterr().out.strip() == "1/2"
+        assert main(["check-traces", "+1,0003"]) == 0
+        assert "2  2^1    3        1     2     PASS" in capsys.readouterr().out
+
+    def test_error_echoes_a_short_token(self, capsys):
+        assert main(["check-traces", "x" * 5000]) == 2
+        err = capsys.readouterr().err
+        assert "xxx" in err
+        assert len(err) < 80
+
+
+class TestDigitLimit:
+    def test_long_output_parses_back(self, capsys, monkeypatch):
+        # det(x - f) = x^2 - 5x - 2, so b_n = 5 b_(n-1) + 2 b_(n-2); b_6000
+        # has 4381 digits, past Python's default 4300-digit conversion cap.
+        monkeypatch.setattr(sys, "stdin", io.StringIO('{"dim":2,"entries":[[5,2],[1,0]]}'))
+        limit = sys.get_int_max_str_digits()
+        assert main(["traces", "-", "--count", "6000"]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        tokens = capsys.readouterr().out.strip().split(",")
+        sys.set_int_max_str_digits(0)
+        try:
+            b = [int(t) for t in tokens]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(b) == 6000 and len(tokens[-1]) > limit
+        assert b[:2] == [5, 29]
+        assert all(b[n] == 5 * b[n - 1] + 2 * b[n - 2] for n in range(2, 6000))
+
+    def test_limit_restored_after_an_error(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        assert main(["check-traces", "1,x"]) == 2
+        assert sys.get_int_max_str_digits() == limit

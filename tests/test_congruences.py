@@ -193,6 +193,20 @@ class TestMatrixCongruences:
         for k in (1, 2, 3):
             assert by_power[2**k] == naive_trace(naive_pow(rows, 2**k))
 
+    @pytest.mark.parametrize("dim", range(7))
+    @pytest.mark.parametrize("p, k_max", [(2, 5), (3, 3), (5, 2)])
+    def test_rows_against_naive_powers(self, dim, p, k_max):
+        f = random_matrix(dim, 2, 1000 * p + dim)
+        rows = [list(r) for r in f.entries]
+        trace = {p**k: naive_trace(naive_pow(rows, p**k)) for k in range(k_max + 1)}
+        expected = [
+            (p**k, trace[p**k], trace[p ** (k - j)], p ** (k - j + 1))
+            for k in range(1, k_max + 1)
+            for j in range(1, k + 1)
+        ]
+        report = check_matrix_congruences(f, p, k_max)
+        assert [(r.n, r.lhs, r.rhs, r.modulus) for r in report.checks] == expected
+
     def test_rejects_bad_args(self):
         f = random_matrix(2, 2, 0)
         with pytest.raises(ValueError):
@@ -220,7 +234,7 @@ class TestExteriorCongruence:
 
     @settings(deadline=None)
     @given(
-        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=6),
         st.integers(min_value=0, max_value=2**64 - 1),
         st.sampled_from([2, 3]),
         st.integers(min_value=1, max_value=2),
@@ -345,3 +359,24 @@ class TestCheckCharacter:
     def test_bound_covers_forcing_threshold(self):
         k = character_check_bound(3, 7, 50)
         assert 3**k > 2 * 50
+
+
+def test_kernel_builds_no_matrix_power(monkeypatch):
+    """The four kernel functions run on polynomials alone: with dense
+    products disabled at every binding site they still return."""
+    from tracewitt import char_poly_coeffs, congruences, matrices
+
+    def refuse(*args):
+        raise AssertionError("dense matrix product")
+
+    for module in (matrices, congruences):
+        for name in ("mat_mul", "mat_pow"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    f = random_matrix(5, 3, 17)
+    with pytest.raises(AssertionError):
+        exterior_via_compound(f, 2, 1)
+    assert len(char_poly_coeffs(f)) == 5
+    assert len(trace_sequence(f, 40)) == 40
+    assert check_matrix_congruences(f, 2, 6).overall
+    assert check_exterior_congruence(f, 3, 3).overall

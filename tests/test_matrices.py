@@ -15,6 +15,7 @@ from tracewitt import (
     mat_pow,
     random_matrix,
     trace_sequence,
+    traces_to_elementary,
 )
 from tracewitt.matrices import decode_int, encode_int
 
@@ -96,6 +97,15 @@ class TestArithmetic:
         got = trace_sequence(as_matrix(rows), n_max)
         assert list(got) == [naive_trace(naive_pow(rows, n)) for n in range(1, n_max + 1)]
 
+    @pytest.mark.parametrize("dim", range(7))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_trace_sequence_past_the_recurrence_boundary(self, dim, seed):
+        # n <= dim comes from Newton's identities, n > dim from the recurrence
+        rows = [list(r) for r in random_matrix(dim, 2 + seed, 10 * dim + seed).entries]
+        n_max = 3 * dim + 2
+        got = trace_sequence(as_matrix(rows), n_max)
+        assert list(got) == [naive_trace(naive_pow(rows, n)) for n in range(1, n_max + 1)]
+
 
 class TestCharPoly:
     @given(square(4, st.integers(min_value=-5, max_value=5)))
@@ -108,6 +118,19 @@ class TestCharPoly:
 
     def test_empty(self):
         assert char_poly_coeffs(IntMatrix.from_rows([])) == ()
+
+    @pytest.mark.parametrize("dim", range(7))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_small_dims_match_permutation_expansion(self, dim, seed):
+        f = random_matrix(dim, 1 + seed, 100 * dim + seed)
+        assert list(char_poly_coeffs(f)) == char_coeffs_perm([list(r) for r in f.entries])
+
+    @pytest.mark.parametrize("dim", range(7, 13))
+    def test_large_dims_match_newton_on_naive_traces(self, dim):
+        f = random_matrix(dim, 3, dim)
+        rows = [list(r) for r in f.entries]
+        traces = [naive_trace(naive_pow(rows, n)) for n in range(1, dim + 1)]
+        assert char_poly_coeffs(f) == traces_to_elementary(traces)
 
 
 class TestCompound:

@@ -20,8 +20,8 @@ from .congruences import (
     CongruenceReport,
     InvalidTraceSequenceError,
     check_character,
-    check_exterior_congruence,
     check_trace_sequence,
+    exterior_rows,
     is_prime,
     synthesize,
 )
@@ -38,11 +38,9 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _parse_rationals(text: str) -> tuple[Scalar, ...]:
-    values: list[Scalar] = []
-    for token in text.replace(",", " ").split():
-        q = parse_decimal(token, Fraction, "rational")
-        values.append(int(q) if q.denominator == 1 else q)
-    return tuple(values)
+    tokens = text.replace(",", " ").split()
+    rationals = (parse_decimal(token, Fraction, "rational") for token in tokens)
+    return tuple(int(q) if q.denominator == 1 else q for q in rationals)
 
 
 def _sequence_arg(args, parser) -> str:
@@ -60,20 +58,19 @@ def _sequence_arg(args, parser) -> str:
 
 
 def _load_json(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
 
 
 def _emit_json(payload: dict, args) -> None:
     if not args.no_timestamp:
         payload["timestamp"] = datetime.now(timezone.utc).isoformat()
     print(json.dumps(payload, separators=(",", ":")))
-
-
-def _scalar_text(value: Scalar) -> str:
-    return str(value)
 
 
 def _encode_scalar(value: Scalar):
@@ -85,7 +82,7 @@ def _emit_values(values: Sequence[Scalar], args) -> None:
     if args.format == "json":
         _emit_json({"values": [_encode_scalar(v) for v in values]}, args)
     else:
-        print(",".join(_scalar_text(v) for v in values))
+        print(",".join(map(str, values)))
 
 
 def _policy_text(policy: dict) -> str:
@@ -129,19 +126,11 @@ def _report_text(report: CongruenceReport) -> str:
     return "\n".join(lines)
 
 
-def _emit_report(report: CongruenceReport, args, stream=None) -> None:
-    stream = stream or sys.stdout
+def _emit_report(report: CongruenceReport, args) -> None:
     if args.format == "json":
-        payload = report.to_json_dict()
-        if not args.no_timestamp:
-            payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-        print(json.dumps(payload, separators=(",", ":")), file=stream)
+        _emit_json(report.to_json_dict(), args)
     else:
-        print(_report_text(report), file=stream)
-
-
-def _emit_matrix(matrix: IntMatrix) -> None:
-    print(json.dumps(matrix.to_json_dict(), separators=(",", ":")))
+        print(_report_text(report))
 
 
 def cmd_check_traces(args, parser) -> int:
@@ -159,7 +148,7 @@ def cmd_synthesize(args, parser) -> int:
         print(f"error: {exc}", file=sys.stderr)
         _emit_report(exc.report, args)
         return MATH_FAIL
-    _emit_matrix(matrix)
+    print(json.dumps(matrix.to_json_dict(), separators=(",", ":")))
     return OK
 
 
@@ -204,11 +193,8 @@ def cmd_check_exterior(args, parser) -> int:
     if not is_prime(args.prime):
         raise ValueError(f"{args.prime} is not prime")
     matrix = IntMatrix.from_json_dict(_load_json(args.matrix))
-    rows = []
-    for k in range(1, args.kmax + 1):
-        rows.extend(check_exterior_congruence(matrix, args.prime, k).checks)
     report = CongruenceReport(
-        tuple(rows),
+        tuple(exterior_rows(matrix, args.prime, 1, args.kmax)),
         {"kind": "exterior-power", "p": args.prime, "k_max": args.kmax, "dim": matrix.dim},
     )
     _emit_report(report, args)
@@ -219,8 +205,7 @@ def run_fuzz(trials: int, dim: int, entry_bound: int, seed: int) -> dict:
     """Random-matrix oracle run; any violation means a bug somewhere."""
     master = SplitMix64(seed)
     trial_seeds = [master.next_u64() for _ in range(trials)]
-    trace_rows = 0
-    exterior_rows = 0
+    trace_rows = exterior_checks = 0
     violations = []
     for index, trial_seed in enumerate(trial_seeds):
         matrix = random_matrix(dim, entry_bound, trial_seed)
@@ -230,20 +215,18 @@ def run_fuzz(trials: int, dim: int, entry_bound: int, seed: int) -> dict:
             violations.append({"trial": index, "kind": "trace", "n": row.n, "p": row.p})
         if 1 <= dim <= 4:
             for p in (2, 3):
-                for k in (1, 2):
-                    report = check_exterior_congruence(matrix, p, k)
-                    exterior_rows += len(report.checks)
-                    for row in report.failures():
-                        violations.append(
-                            {"trial": index, "kind": "exterior", "n": row.n, "p": row.p}
-                        )
+                rows = exterior_rows(matrix, p, 1, 2)
+                exterior_checks += len(rows)
+                for row in rows:
+                    if not row.passed:
+                        violations.append({"trial": index, "kind": "exterior", "n": row.n, "p": row.p})
     return {
         "trials": trials,
         "dim": dim,
         "entry_bound": entry_bound,
         "seed": seed,
         "trace_checks": trace_rows,
-        "exterior_checks": exterior_rows,
+        "exterior_checks": exterior_checks,
         "violations": violations,
         "ok": not violations,
     }

@@ -33,25 +33,21 @@ from .matrices import (
     mat_pow,
     trace_sequence,
 )
-from .newton import as_integers, elementary_to_traces, integrality_check, traces_to_elementary
-from .witt import witt_from_ghost
+from .newton import _elementary_to_traces, _traces_to_elementary, as_integers
+from .newton import exact_entries, integrality_check
+from .witt import _witt, smallest_prime_factor
 
 
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality (inputs here are small)."""
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and smallest_prime_factor(n) == n
 
 
-def _require_prime(p: int) -> None:
+def _require_prime(p: int, k: int, name: str = "k") -> None:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if k < 1:
+        raise ValueError(f"{name} must be at least 1")
 
 
 class PrimePower(NamedTuple):
@@ -71,18 +67,14 @@ def prime_power_split(n: int) -> tuple[PrimePower, ...]:
     if n < 1:
         raise ValueError("n must be positive")
     parts = []
-    rest = n
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            k = 0
-            while rest % p == 0:
-                rest //= p
-                k += 1
-            parts.append(PrimePower(p, k, n // p**k))
-        p += 1
-    if rest > 1:
-        parts.append(PrimePower(rest, 1, n // rest))
+    rest, p = n, 1
+    while rest > 1:
+        p = smallest_prime_factor(rest, p + 1)
+        k = 0
+        while rest % p == 0:
+            rest //= p
+            k += 1
+        parts.append(PrimePower(p, k, n // p**k))
     return tuple(parts)
 
 
@@ -174,11 +166,12 @@ def check_trace_sequence(
     >>> check_trace_sequence([1, 3, 4, 7]).overall
     True
     """
+    exact_entries(traces)
     rows = []
     for n in range(2, len(traces) + 1):
         for p, k, _ in prime_power_split(n):
             rows.append(_row(n, p, k, traces[n - 1], traces[n // p - 1]))
-    witness = witt_from_ghost(traces) if with_witness else None
+    witness = tuple(map(Fraction, _witt(traces))) if with_witness else None
     policy = {"kind": "trace-sequence", "length": len(traces)}
     return CongruenceReport(tuple(rows), policy, witness)
 
@@ -197,10 +190,11 @@ def synthesize(traces: Sequence[int], *, self_check: bool = True) -> IntMatrix:
     Raises :class:`InvalidTraceSequenceError`, carrying the failing report
     rows and the Witt witness, when the sequence is not a trace sequence.
     """
-    report = check_trace_sequence(traces)
+    report = check_trace_sequence(traces)  # the one input check
     if not report.overall:
-        raise InvalidTraceSequenceError(replace(report, witness=witt_from_ghost(traces)))
-    coeffs = as_integers(traces_to_elementary(traces))
+        witness = tuple(map(Fraction, _witt(traces)))
+        raise InvalidTraceSequenceError(replace(report, witness=witness))
+    coeffs = as_integers(_traces_to_elementary(traces))
     degree = len(coeffs)
     while degree and coeffs[degree - 1] == 0:
         degree -= 1
@@ -218,9 +212,7 @@ def lemma6_verify(a: int, p: int, k: int) -> bool:
     Exponentiation is done modulo p^k, which decides the same divisibility
     without materializing the full powers.
     """
-    _require_prime(p)
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _require_prime(p, k)
     modulus = p**k
     return (pow(a, p**k, modulus) - pow(a, p ** (k - 1), modulus)) % modulus == 0
 
@@ -254,14 +246,14 @@ def _char_poly_route(f: IntMatrix) -> tuple[list[int], tuple[int, ...]]:
     dot product with any u of degree <= r and ``u(f) = f^m`` is ``tr(f^m)``."""
     coeffs = char_poly_coeffs(f)
     signed = [a if i % 2 else -a for i, a in enumerate(coeffs, start=1)]
-    return signed, (f.dim, *elementary_to_traces(coeffs, f.dim))
+    return signed, (f.dim, *_elementary_to_traces(coeffs, f.dim))
 
 
 def _power_coeffs(u: list[int], signed: Sequence[int], basis: Sequence[int]) -> tuple[int, ...]:
     """Coefficients of ``det(1 + t*f^m)`` from u with ``u(f) = f^m``, by
     integer Newton on the traces ``tr(f^(j*m))``, j = 1..r."""
     powers = accumulate(repeat(u, len(signed)), lambda v, w: _mul_mod(v, w, signed))
-    coeffs = traces_to_elementary([sum(map(mul, v, basis)) for v in powers])
+    coeffs = _traces_to_elementary([sum(map(mul, v, basis)) for v in powers])
     if integrality_check(coeffs):
         raise ArithmeticError("det(1 + t*f^m) came out non-integral; this is a bug, not bad input")
     return tuple(int(c) for c in coeffs)
@@ -278,9 +270,7 @@ def check_matrix_congruences(f: IntMatrix, p: int, k_max: int) -> CongruenceRepo
     for reach.  Rows are ordered by (k, j); each row stores the power p^k
     in ``n`` and the modulus exponent k-j+1 in ``k``.
     """
-    _require_prime(p)
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+    _require_prime(p, k_max, "k_max")
     signed, basis = _char_poly_route(f)
     powers = accumulate(repeat(p, k_max), lambda u, e: _pow_mod(u, e, signed), initial=[0, 1])
     power_traces = [sum(map(mul, u, basis)) for u in powers]
@@ -299,16 +289,24 @@ def check_exterior_congruence(f: IntMatrix, p: int, k: int) -> CongruenceReport:
     against that of ``f^(p^(k-1))`` modulo p^k.  The top row (i = r) is the
     determinant congruence ``det(f^(p^k)) == det(f^(p^(k-1))) (mod p^k)``.
     """
-    _require_prime(p)
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    signed, basis = _char_poly_route(f)
-    u = _pow_mod([0, 1], p ** (k - 1), signed)  # [0, 1] is x, and x(f) = f
-    low = _power_coeffs(u, signed, basis)
-    high = _power_coeffs(_pow_mod(u, p, signed), signed, basis)
-    rows = tuple(_row(i, p, k, high[i - 1], low[i - 1]) for i in range(1, f.dim + 1))
+    _require_prime(p, k)
     policy = {"kind": "exterior-power", "p": p, "k": k, "dim": f.dim}
-    return CongruenceReport(rows, policy)
+    return CongruenceReport(tuple(exterior_rows(f, p, k, k)), policy)
+
+
+def exterior_rows(f: IntMatrix, p: int, k_first: int, k_last: int) -> list[CongruenceRow]:
+    """Rows of :func:`check_exterior_congruence` for k = k_first..k_last: chi once, then
+    ``u = x^(p^k) mod chi`` one p-th power per level, each level's coefficients used twice."""
+    signed, basis = _char_poly_route(f)
+    u = _pow_mod([0, 1], p ** (k_first - 1), signed)  # [0, 1] is x, and x(f) = f
+    low = _power_coeffs(u, signed, basis)
+    rows = []
+    for k in range(k_first, k_last + 1):
+        u = _pow_mod(u, p, signed)
+        high = _power_coeffs(u, signed, basis)
+        rows += (_row(i, p, k, high[i - 1], low[i - 1]) for i in range(1, f.dim + 1))
+        low = high
+    return rows
 
 
 def exterior_via_compound(f: IntMatrix, p: int, k: int) -> CongruenceReport:
@@ -321,9 +319,7 @@ def exterior_via_compound(f: IntMatrix, p: int, k: int) -> CongruenceReport:
     identical values row for row, which makes each a cross-check of the
     other.
     """
-    _require_prime(p)
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _require_prime(p, k)
     rows = []
     for i in range(1, f.dim + 1):
         wedge = compound_matrix(f, i)

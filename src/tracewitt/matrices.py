@@ -20,7 +20,7 @@ from itertools import combinations
 from operator import mul
 from typing import Callable, Sequence
 
-from .newton import as_integers, elementary_to_traces
+from .newton import _elementary_to_traces, as_integers
 from .rng import SplitMix64
 
 # Largest magnitude a JSON consumer with IEEE doubles can hold exactly.
@@ -153,7 +153,7 @@ def mat_pow(f: IntMatrix, n: int) -> IntMatrix:
 
 def trace_sequence(f: IntMatrix, n_max: int) -> tuple[int, ...]:
     """Traces of f, f^2, ..., f^n_max, by the Newton recurrence on det(1 + t*f)."""
-    return elementary_to_traces(char_poly_coeffs(f), n_max)
+    return _elementary_to_traces(char_poly_coeffs(f), n_max)
 
 
 def char_poly_coeffs(f: IntMatrix) -> tuple[int, ...]:

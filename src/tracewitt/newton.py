@@ -30,6 +30,16 @@ from typing import Sequence, Union
 Scalar = Union[int, Fraction]
 
 
+def exact_entries(values: Sequence[object]) -> Sequence[Scalar]:
+    """``values``, once each entry is checked to be an int (not a bool) or a Fraction;
+    anything else, a float above all, raises ValueError naming its 1-based position."""
+    if not {int, Fraction}.issuperset(map(type, values)):
+        for pos, value in enumerate(values, start=1):
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+                raise ValueError(f"entry {pos} must be an int or a Fraction, got {value!r:.40}")
+    return values
+
+
 def traces_to_elementary(traces: Sequence[Scalar]) -> tuple[Fraction, ...]:
     """Convert power sums b_1..b_N into elementary coefficients a_1..a_N.
 
@@ -41,13 +51,14 @@ def traces_to_elementary(traces: Sequence[Scalar]) -> tuple[Fraction, ...]:
     >>> traces_to_elementary([0, 1])
     (Fraction(0, 1), Fraction(-1, 2))
     """
+    return _traces_to_elementary(exact_entries(traces))
+
+
+def _traces_to_elementary(traces: Sequence[Scalar]) -> tuple[Fraction, ...]:
     # a_k = numer[k] / denom throughout.  At step n the sum acc equals
     # n * denom * a_n; the common denominator grows by n // gcd(acc, n) only
     # when n does not divide acc, which never happens for a trace sequence.
-    signed: list[Scalar] = []
-    for i, b in enumerate(traces, start=1):
-        b = b if isinstance(b, int) else Fraction(b)
-        signed.append(b if i % 2 else -b)
+    signed = [b if i % 2 else -b for i, b in enumerate(traces, start=1)]
     numer: list[Scalar] = [1]
     denom = 1
     for n in range(1, len(signed) + 1):
@@ -80,6 +91,10 @@ def elementary_to_traces(coeffs: Sequence[Scalar], n_max: int) -> tuple[Scalar, 
     >>> elementary_to_traces([2], 3)
     (2, 4, 8)
     """
+    return _elementary_to_traces(exact_entries(coeffs), n_max)
+
+
+def _elementary_to_traces(coeffs: Sequence[Scalar], n_max: int) -> tuple[Scalar, ...]:
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     signed = [c if i % 2 else -c for i, c in enumerate(coeffs, start=1)]

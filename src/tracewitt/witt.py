@@ -14,9 +14,16 @@ which for a matrix's Witt coordinates are precisely its traces of powers.
 All series are handled modulo ``t^(N+1)`` for the requested truncation N;
 a short coefficient vector is implicitly padded with zeros.
 
+Both ghost maps are a sieve: ``-t d/dt log`` of the product is
+``sum_d sum_j d * x_d^j * t^(d*j)``, so x_d reaches b_d, b_2d, ... through
+running powers, one multiply each -- O(N log N) big-integer multiplies for N
+components, no divisor lists.  Coefficients reach Witt coordinates through
+their traces (Newton's recurrence, O(N*r) for r coefficients) and the sieve.
+
 Non-integral inputs are allowed everywhere and propagate as exact
 :class:`fractions.Fraction` values: a near-miss like ``x_2 = 1/2`` is useful
-diagnostic output, so these functions report it rather than refusing.
+diagnostic output, so these functions report it rather than refusing.  An
+entry that is neither an int nor a Fraction (a float, a bool) is refused.
 """
 
 from __future__ import annotations
@@ -24,38 +31,58 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .newton import Scalar
+from .newton import Scalar, _elementary_to_traces, exact_entries
+
+
+def smallest_prime_factor(n: int, start: int = 2) -> int:
+    """Smallest prime factor of n >= 2 (n itself when prime), by trial
+    division from ``start``; n must have no prime factor below ``start``."""
+    d = start
+    while d * d <= n:
+        if n % d == 0:
+            return d
+        d += 1
+    return n
 
 
 def divisors(n: int) -> list[int]:
-    """Divisors of n in ascending order, by trial division up to sqrt(n)."""
+    """Divisors of n in ascending order, from its prime factors."""
     if n < 1:
         raise ValueError("n must be positive")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    divs = {1}
+    while n > 1:
+        p = smallest_prime_factor(n)
+        n //= p
+        divs |= {d * p for d in divs}
+    return sorted(divs)
 
 
-def _signed_series(coeffs: Sequence[Scalar], n_max: int) -> list[Scalar]:
-    """Coefficients of ``1 - a_1*t + a_2*t^2 - ...`` up to degree n_max."""
-    series: list[Scalar] = [1] + [0] * n_max
-    for n, a in enumerate(coeffs[:n_max], start=1):
-        series[n] = a if n % 2 == 0 else -a
-    return series
+def _witt(ghosts: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """:func:`witt_from_ghost` on checked input, keeping ints where they divide."""
+    residues = list(ghosts)
+    for n in range(1, len(residues) + 1):
+        residue = residues[n - 1]
+        if isinstance(residue, int):
+            x, remainder = divmod(residue, n)
+            if remainder:
+                x = Fraction(residue, n)
+        else:
+            x = residue / n
+        residues[n - 1] = x
+        if x:
+            power = x
+            for m in range(2 * n - 1, len(residues), n):
+                power *= x
+                residues[m] -= n * power
+    return tuple(residues)
 
 
 def coeffs_to_witt(coeffs: Sequence[Scalar], n_max: int | None = None) -> tuple[Scalar, ...]:
     """Witt coordinates x_1..x_N of a coefficient vector a_1..a_r.
 
-    Peels one factor ``(1 - x_n*t^n)`` per degree: after the factors below n
-    are divided out, the residual series is ``1 - x_n*t^n + O(t^(n+1))``.
-    No division by integers occurs, so integer input gives integer output.
+    The sieve of :func:`witt_from_ghost` on the traces b_1..b_N, found in O(N*r).
+    Integer input gives integer output (the divisions are exact); input with
+    a Fraction among a_1..a_N gives fractions throughout.
 
     >>> coeffs_to_witt([1, -1])
     (1, 1)
@@ -63,18 +90,8 @@ def coeffs_to_witt(coeffs: Sequence[Scalar], n_max: int | None = None) -> tuple[
     (2, 0, 0, 0)
     """
     n = len(coeffs) if n_max is None else n_max
-    if n < 0:
-        raise ValueError("n_max must be non-negative")
-    residual = _signed_series(coeffs, n)
-    witt: list[Scalar] = []
-    for i in range(1, n + 1):
-        x = -residual[i]
-        witt.append(x)
-        if x != 0:
-            # Divide the residual by (1 - x*t^i) in place.
-            for m in range(i, n + 1):
-                residual[m] += x * residual[m - i]
-    return tuple(witt)
+    witt = _witt(_elementary_to_traces(exact_entries(coeffs)[:n], n))
+    return tuple(map(Fraction, witt)) if any(isinstance(x, Fraction) for x in witt) else witt
 
 
 def witt_to_coeffs(witt: Sequence[Scalar], n_max: int | None = None) -> tuple[Scalar, ...]:
@@ -90,7 +107,7 @@ def witt_to_coeffs(witt: Sequence[Scalar], n_max: int | None = None) -> tuple[Sc
     if n < 0:
         raise ValueError("n_max must be non-negative")
     series: list[Scalar] = [1] + [0] * n
-    for i, x in enumerate(witt[:n], start=1):
+    for i, x in enumerate(exact_entries(witt)[:n], start=1):
         if x == 0:
             continue
         for m in range(n, i - 1, -1):
@@ -99,7 +116,7 @@ def witt_to_coeffs(witt: Sequence[Scalar], n_max: int | None = None) -> tuple[Sc
 
 
 def ghost_from_witt(witt: Sequence[Scalar], n_max: int) -> tuple[Scalar, ...]:
-    """Ghost components b_1..b_{n_max} via the divisor sum.
+    """Ghost components b_1..b_{n_max} by the sieve: O(N log N) multiplies.
 
     Witt coordinates beyond ``len(witt)`` are taken to be zero.
 
@@ -110,15 +127,14 @@ def ghost_from_witt(witt: Sequence[Scalar], n_max: int) -> tuple[Scalar, ...]:
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    ghosts: list[Scalar] = []
-    for n in range(1, n_max + 1):
-        total: Scalar = 0
-        for d in divisors(n):
-            if d <= len(witt):
-                x = witt[d - 1]
-                if x != 0:
-                    total += d * x ** (n // d)
-        ghosts.append(total)
+    ghosts: list[Scalar] = [0] * n_max
+    for d, x in enumerate(exact_entries(witt)[:n_max], start=1):
+        if x:
+            power = x
+            ghosts[d - 1] += d * x
+            for n in range(2 * d - 1, n_max, d):
+                power *= x
+                ghosts[n] += d * power
     return tuple(ghosts)
 
 
@@ -127,6 +143,7 @@ def witt_from_ghost(ghosts: Sequence[Scalar]) -> tuple[Fraction, ...]:
 
         n * x_n = b_n - sum_{d | n, d < n} d * x_d^(n/d).
 
+    The sieve subtracts d * x_d^j at j*d, in ascending d: O(N log N) multiplies.
     The division by n makes the result rational in general; the coordinates
     are all integers exactly when the ghosts satisfy the prime-power trace
     congruences.  Integer residues are divided with exact ``divmod``; a
@@ -138,19 +155,7 @@ def witt_from_ghost(ghosts: Sequence[Scalar]) -> tuple[Fraction, ...]:
     >>> witt_from_ghost([0, 1])
     (Fraction(0, 1), Fraction(1, 2))
     """
-    witt: list[Scalar] = []
-    for n, b in enumerate(ghosts, start=1):
-        residue = b if isinstance(b, int) else Fraction(b)
-        for d in divisors(n)[:-1]:
-            x = witt[d - 1]
-            if x != 0:
-                residue -= d * x ** (n // d)
-        if isinstance(residue, int):
-            quotient, remainder = divmod(residue, n)
-            witt.append(Fraction(residue, n) if remainder else quotient)
-        else:
-            witt.append(residue / n)
-    return tuple(map(Fraction, witt))
+    return tuple(map(Fraction, _witt(exact_entries(ghosts))))
 
 
 __all__ = [

@@ -121,6 +121,23 @@ def witt_product_coeffs(witt: list, n_max: int) -> list:
     return [(-1) ** m * series[m] for m in range(1, n_max + 1)]
 
 
+def ghost_by_definition(witt: list, n_max: int) -> list:
+    """b_n = sum of d * x_d^(n/d) over every d <= n with n % d == 0."""
+    return [
+        sum(d * witt[d - 1] ** (n // d) for d in range(1, min(n, len(witt)) + 1) if n % d == 0)
+        for n in range(1, n_max + 1)
+    ]
+
+
+def witt_by_definition(ghosts: list) -> list[Fraction]:
+    """x_n = (b_n - sum of d * x_d^(n/d) over d < n with n % d == 0) / n, over Q."""
+    witt: list[Fraction] = []
+    for n, b in enumerate(ghosts, start=1):
+        rest = b - sum(d * witt[d - 1] ** (n // d) for d in range(1, n) if n % d == 0)
+        witt.append(Fraction(rest) / n)
+    return witt
+
+
 def sieve_primes(limit: int) -> list[int]:
     flags = [True] * (limit + 1)
     flags[0:2] = [False, False]

@@ -189,6 +189,20 @@ class TestExteriorCommand:
         assert "PASS" not in proc.stdout
 
 
+    def test_report_is_the_per_level_checks_in_order(self, tmp_path, capsys):
+        from tracewitt import check_exterior_congruence, random_matrix
+
+        f = random_matrix(4, 3, 5)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(f.to_json_dict()))
+        argv = ["check-exterior", str(path), "--prime", "3", "--kmax", "4", "--format", "json"]
+        assert main([*argv, "--no-timestamp"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        per_level = [check_exterior_congruence(f, 3, k).checks for k in range(1, 5)]
+        assert payload["checks"] == [row.to_json_dict() for rows in per_level for row in rows]
+        assert payload["policy"] == {"kind": "exterior-power", "p": 3, "k_max": 4, "dim": 4}
+
+
 class TestTimestamps:
     def test_report_json_has_timestamp_by_default(self):
         proc = run_cli("check-traces", "--traces", "1,3", "--format", "json")
@@ -295,6 +309,18 @@ class TestInputGrammar:
         err = capsys.readouterr().err
         assert "xxx" in err
         assert len(err) < 80
+
+
+class TestDeepJson:
+    @pytest.mark.parametrize(
+        "command", [["charpoly", "-"], ["traces", "-", "--count", "3"], ["check-character", "-"]]
+    )
+    def test_deep_nesting_is_an_input_error(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 100_000 + "]" * 100_000))
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: JSON input is nested too deeply\n"
 
 
 class TestDigitLimit:

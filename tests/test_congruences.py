@@ -380,3 +380,34 @@ def test_kernel_builds_no_matrix_power(monkeypatch):
     assert len(trace_sequence(f, 40)) == 40
     assert check_matrix_congruences(f, 2, 6).overall
     assert check_exterior_congruence(f, 3, 3).overall
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: check_trace_sequence([0.5, 1.5]),
+        lambda: check_trace_sequence([1, 3.0], with_witness=True),
+        lambda: synthesize([1, 3.0]),
+        lambda: synthesize([True, 1]),
+    ],
+)
+def test_float_and_bool_traces_rejected(call):
+    with pytest.raises(ValueError, match="must be an int or a Fraction"):
+        call()
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from([2, 3, 5]),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=3),
+)
+def test_exterior_rows_match_one_level_at_a_time(dim, seed, p, k_first, extra):
+    from tracewitt.congruences import exterior_rows
+
+    f = random_matrix(dim, 3, seed)
+    levels = range(k_first, k_first + extra + 1)
+    one_at_a_time = [row for k in levels for row in check_exterior_congruence(f, p, k).checks]
+    assert exterior_rows(f, p, levels[0], levels[-1]) == one_at_a_time

@@ -116,3 +116,17 @@ def test_series_oracle_on_rationals(b):
     coeffs = traces_to_elementary(b)
     assert all(type(a) is Fraction for a in coeffs)
     assert series_traces(list(coeffs), len(b)) == b
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: traces_to_elementary([1, 0.5]),
+        lambda: traces_to_elementary([1, True]),
+        lambda: elementary_to_traces([1, 0.5], 3),
+        lambda: elementary_to_traces([1, False], 3),
+    ],
+)
+def test_float_and_bool_entries_rejected(call):
+    with pytest.raises(ValueError, match="entry 2 must be an int or a Fraction"):
+        call()

@@ -7,6 +7,7 @@ from .oracles import (
     compound_perm,
     det_perm,
     fib,
+    ghost_by_definition,
     lucas,
     naive_mul,
     naive_pow,
@@ -14,6 +15,7 @@ from .oracles import (
     poly_mul_trunc,
     series_traces,
     sieve_primes,
+    witt_by_definition,
     witt_product_coeffs,
 )
 
@@ -79,3 +81,12 @@ def test_compound_perm_full_minor_is_det():
     m = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
     assert compound_perm(m, 3) == [[det_perm(m)]]
     assert compound_perm(m, 1) == m
+
+
+def test_ghost_and_witt_by_definition_hand_values():
+    x = [2, 3, 5, 7]
+    b = [2, 2**2 + 2 * 3, 2**3 + 3 * 5, 2**4 + 2 * 3**2 + 4 * 7]
+    assert ghost_by_definition(x, 4) == b
+    assert ghost_by_definition(x, 6)[5] == 2**6 + 2 * 3**3 + 3 * 5**2
+    assert witt_by_definition(b) == x
+    assert witt_by_definition([0, 1]) == [0, Fraction(1, 2)]

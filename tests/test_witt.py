@@ -1,5 +1,6 @@
 """Witt coordinates, ghost components, and the connecting bijections."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,10 +18,13 @@ from tracewitt import (
     witt_to_coeffs,
 )
 
-from .oracles import series_traces, witt_product_coeffs
+from .oracles import ghost_by_definition, series_traces, witt_by_definition, witt_product_coeffs
 
 INT_VECS = st.lists(st.integers(min_value=-20, max_value=20), max_size=12)
 SMALL_VECS = st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=8)
+# ints and Fractions, with zeros of both types drawn often
+EXACT = st.sampled_from([0, Fraction(0)]) | st.integers(-9, 9) | st.fractions(max_denominator=6)
+MIXED_VECS = st.lists(EXACT, max_size=14)
 
 
 def test_divisors():
@@ -138,3 +142,96 @@ class TestCharacterizationBridge:
         # triangle commutes: traces -> coeffs -> Witt == traces -> Witt
         coeffs = traces_to_elementary(b)
         assert coeffs_to_witt(coeffs) == witt_from_ghost(b)
+
+
+class TestSieve:
+    """The sieve maps against the divisor sum written from its definition."""
+
+    @given(MIXED_VECS, st.integers(min_value=0, max_value=20))
+    def test_ghost_from_witt_matches_definition(self, x, n_max):
+        ghosts = ghost_from_witt(x, n_max)
+        assert list(ghosts) == ghost_by_definition(x, n_max)
+        for n, b in enumerate(ghosts, start=1):
+            # a Fraction only where a nonzero Fraction coordinate contributes
+            fraction_term = any(
+                isinstance(x[d - 1], Fraction) and x[d - 1] != 0
+                for d in range(1, min(n, len(x)) + 1)
+                if n % d == 0
+            )
+            assert type(b) is (Fraction if fraction_term else int)
+
+    @given(MIXED_VECS)
+    def test_witt_from_ghost_matches_definition(self, b):
+        witt = witt_from_ghost(b)
+        assert list(witt) == witt_by_definition(b)
+        assert all(type(x) is Fraction for x in witt)
+
+    @given(st.lists(st.integers(-9, 9) | st.fractions(max_denominator=6), max_size=10), st.data())
+    def test_coeffs_to_witt_inverts_series_traces(self, a, data):
+        n = data.draw(st.integers(min_value=0, max_value=len(a) + 8))
+        witt = coeffs_to_witt(a, n)
+        assert list(witt) == witt_by_definition(series_traces(a, n))
+        if any(isinstance(c, Fraction) for c in a[:n]):
+            assert all(type(x) is Fraction for x in witt)
+        else:
+            assert all(type(x) is int for x in witt)
+
+    @given(MIXED_VECS, st.integers(min_value=0, max_value=20))
+    def test_round_trip_ghost_then_witt(self, x, n_max):
+        padded = (list(x) + [0] * n_max)[:n_max]
+        assert witt_from_ghost(ghost_from_witt(x, n_max)) == tuple(map(Fraction, padded))
+
+    @given(MIXED_VECS)
+    def test_round_trip_coeffs_then_witt(self, x):
+        assert coeffs_to_witt(witt_to_coeffs(x)) == tuple(x)
+        assert witt_to_coeffs(coeffs_to_witt(x)) == tuple(x)
+
+    def test_fraction_beyond_the_truncation_keeps_ints(self):
+        assert coeffs_to_witt([1, -1, Fraction(1, 2)], 2) == (1, 1)
+        assert all(type(x) is int for x in coeffs_to_witt([1, -1, Fraction(1, 2)], 2))
+
+    def test_mixed_input_gives_fractions_throughout(self):
+        witt = coeffs_to_witt([0, Fraction(1, 2)])
+        assert witt == (0, Fraction(-1, 2))
+        assert all(type(x) is Fraction for x in witt)
+
+
+def test_witt_maps_call_no_divisors(monkeypatch):
+    """The four maps work by sieving along multiples: with ``divisors``
+    disabled at every binding site they still return."""
+    import tracewitt
+
+    def refuse(n):
+        raise AssertionError("divisor list")
+
+    for name, module in list(sys.modules.items()):
+        if (name == "tracewitt" or name.startswith("tracewitt.")) and hasattr(module, "divisors"):
+            monkeypatch.setattr(module, "divisors", refuse)
+    with pytest.raises(AssertionError):
+        tracewitt.divisors(6)
+    x = (2, -1, Fraction(1, 3), 0, 5)
+    assert witt_from_ghost(ghost_from_witt(x, 30))[:5] == x
+    assert witt_to_coeffs(coeffs_to_witt((1, -1, 3), 30), 3) == (1, -1, 3)
+
+
+class TestExactEntriesOnly:
+    """Floats and bools are refused at the public boundary, by position."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: witt_from_ghost([0.5]),
+            lambda: coeffs_to_witt([0.5], 2),
+            lambda: ghost_from_witt([1, 0.5], 3),
+            lambda: witt_to_coeffs([0.5]),
+            lambda: witt_from_ghost([True]),
+            lambda: coeffs_to_witt([1, False]),
+        ],
+    )
+    def test_rejected(self, call):
+        with pytest.raises(ValueError, match="entry [12] must be an int or a Fraction"):
+            call()
+
+    def test_position_is_named(self):
+        with pytest.raises(ValueError, match="entry 3 .* got 2.0"):
+            ghost_from_witt([1, Fraction(1, 2), 2.0], 4)

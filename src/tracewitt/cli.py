@@ -25,7 +25,7 @@ from .congruences import (
     is_prime,
     synthesize,
 )
-from .matrices import IntMatrix, char_poly_coeffs, encode_int, parse_decimal, random_matrix, trace_sequence
+from .matrices import IntMatrix, char_poly_coeffs, encode_scalar, parse_decimal, random_matrix, trace_sequence
 from .newton import Scalar
 from .rng import SplitMix64
 from .witt import ghost_from_witt, witt_from_ghost
@@ -73,14 +73,9 @@ def _emit_json(payload: dict, args) -> None:
     print(json.dumps(payload, separators=(",", ":")))
 
 
-def _encode_scalar(value: Scalar):
-    q = Fraction(value)
-    return encode_int(int(q)) if q.denominator == 1 else str(q)
-
-
 def _emit_values(values: Sequence[Scalar], args) -> None:
     if args.format == "json":
-        _emit_json({"values": [_encode_scalar(v) for v in values]}, args)
+        _emit_json({"values": [encode_scalar(v) for v in values]}, args)
     else:
         print(",".join(map(str, values)))
 

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from operator import mul
 from typing import Callable, Sequence
 
-from .newton import _elementary_to_traces, as_integers
+from .newton import Scalar, _elementary_to_traces, as_integers
 from .rng import SplitMix64
 
 # Largest magnitude a JSON consumer with IEEE doubles can hold exactly.
@@ -36,6 +37,12 @@ def _as_entry(value: object) -> int:
 def encode_int(value: int):
     """JSON-encode an integer: literal when doubles hold it, else a string."""
     return value if -_JSON_SAFE_INT <= value <= _JSON_SAFE_INT else str(value)
+
+
+def encode_scalar(value: Scalar):
+    """JSON-encode an int or Fraction: :func:`encode_int` if integral, else ``"p/q"``."""
+    q = Fraction(value)
+    return encode_int(int(q)) if q.denominator == 1 else str(q)
 
 
 def parse_decimal(token: str, convert: Callable[[str], object] = int, what: str = "integer"):

@@ -51,10 +51,11 @@ def traces_to_elementary(traces: Sequence[Scalar]) -> tuple[Fraction, ...]:
     >>> traces_to_elementary([0, 1])
     (Fraction(0, 1), Fraction(-1, 2))
     """
-    return _traces_to_elementary(exact_entries(traces))
+    return tuple(map(Fraction, _traces_to_elementary(exact_entries(traces))))
 
 
-def _traces_to_elementary(traces: Sequence[Scalar]) -> tuple[Fraction, ...]:
+def _traces_to_elementary(traces: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """:func:`traces_to_elementary` on checked input; ints when the common denominator stays 1."""
     # a_k = numer[k] / denom throughout.  At step n the sum acc equals
     # n * denom * a_n; the common denominator grows by n // gcd(acc, n) only
     # when n does not divide acc, which never happens for a trace sequence.
@@ -72,7 +73,7 @@ def _traces_to_elementary(traces: Sequence[Scalar]) -> tuple[Fraction, ...]:
             numer.append(acc // g)
         else:
             numer.append(acc / n)
-    return tuple(Fraction(x, denom) for x in numer[1:])
+    return tuple(numer[1:]) if denom == 1 else tuple(Fraction(x, denom) for x in numer[1:])
 
 
 def elementary_to_traces(coeffs: Sequence[Scalar], n_max: int) -> tuple[Scalar, ...]:

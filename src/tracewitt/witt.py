@@ -17,8 +17,9 @@ a short coefficient vector is implicitly padded with zeros.
 Both ghost maps are a sieve: ``-t d/dt log`` of the product is
 ``sum_d sum_j d * x_d^j * t^(d*j)``, so x_d reaches b_d, b_2d, ... through
 running powers, one multiply each -- O(N log N) big-integer multiplies for N
-components, no divisor lists.  Coefficients reach Witt coordinates through
-their traces (Newton's recurrence, O(N*r) for r coefficients) and the sieve.
+components, no divisor lists.  Coefficients and Witt coordinates meet in
+their traces, since the ghosts are the traces: Newton's identities (O(N*r)
+from r coefficients, O(N^2) back to them) composed with the sieve.
 
 Non-integral inputs are allowed everywhere and propagate as exact
 :class:`fractions.Fraction` values: a near-miss like ``x_2 = 1/2`` is useful
@@ -31,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .newton import Scalar, _elementary_to_traces, exact_entries
+from .newton import Scalar, _elementary_to_traces, _traces_to_elementary, exact_entries
 
 
 def smallest_prime_factor(n: int, start: int = 2) -> int:
@@ -77,6 +78,13 @@ def _witt(ghosts: Sequence[Scalar]) -> tuple[Scalar, ...]:
     return tuple(residues)
 
 
+def _ints_or_fractions(values: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """``values`` as ints when every entry is one, else all as Fractions."""
+    if any(isinstance(x, Fraction) for x in values):
+        return tuple(map(Fraction, values))
+    return tuple(values)
+
+
 def coeffs_to_witt(coeffs: Sequence[Scalar], n_max: int | None = None) -> tuple[Scalar, ...]:
     """Witt coordinates x_1..x_N of a coefficient vector a_1..a_r.
 
@@ -90,29 +98,21 @@ def coeffs_to_witt(coeffs: Sequence[Scalar], n_max: int | None = None) -> tuple[
     (2, 0, 0, 0)
     """
     n = len(coeffs) if n_max is None else n_max
-    witt = _witt(_elementary_to_traces(exact_entries(coeffs)[:n], n))
-    return tuple(map(Fraction, witt)) if any(isinstance(x, Fraction) for x in witt) else witt
+    return _ints_or_fractions(_witt(_elementary_to_traces(exact_entries(coeffs)[:n], n)))
 
 
 def witt_to_coeffs(witt: Sequence[Scalar], n_max: int | None = None) -> tuple[Scalar, ...]:
     """Coefficients a_1..a_N from Witt coordinates; inverse of coeffs_to_witt.
 
-    Expands ``prod (1 - x_i*t^i)`` modulo ``t^(N+1)`` and reads off the
-    alternating-sign coefficients.
+    Newton's identities on the ghosts b_1..b_N, which are the traces: O(N^2)
+    multiplies.  Integer input gives integer output; input with a nonzero
+    Fraction among x_1..x_N gives fractions throughout.
 
     >>> witt_to_coeffs([1, 1])
     (1, -1)
     """
     n = len(witt) if n_max is None else n_max
-    if n < 0:
-        raise ValueError("n_max must be non-negative")
-    series: list[Scalar] = [1] + [0] * n
-    for i, x in enumerate(exact_entries(witt)[:n], start=1):
-        if x == 0:
-            continue
-        for m in range(n, i - 1, -1):
-            series[m] -= x * series[m - i]
-    return tuple(series[m] if m % 2 == 0 else -series[m] for m in range(1, n + 1))
+    return _ints_or_fractions(_traces_to_elementary(ghost_from_witt(witt, n)))
 
 
 def ghost_from_witt(witt: Sequence[Scalar], n_max: int) -> tuple[Scalar, ...]:

@@ -1,5 +1,7 @@
 """Congruence checkers against brute-force and cross-path oracles."""
 
+import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -237,7 +239,7 @@ class TestExteriorCongruence:
         st.integers(min_value=1, max_value=6),
         st.integers(min_value=0, max_value=2**64 - 1),
         st.sampled_from([2, 3]),
-        st.integers(min_value=1, max_value=2),
+        st.integers(min_value=1, max_value=3),
     )
     def test_two_paths_identical(self, dim, seed, p, k):
         f = random_matrix(dim, 3, seed)
@@ -380,6 +382,63 @@ def test_kernel_builds_no_matrix_power(monkeypatch):
     assert len(trace_sequence(f, 40)) == 40
     assert check_matrix_congruences(f, 2, 6).overall
     assert check_exterior_congruence(f, 3, 3).overall
+
+
+def test_root_powering_needs_no_polynomial_powers(monkeypatch):
+    """Exterior coefficients and the Witt maps are Newton composed with the
+    trace recurrence and the ghost sieve: with ``x^m mod chi`` disabled at
+    every binding site only the matrix check stops."""
+    from tracewitt import coeffs_to_witt, witt_to_coeffs
+    from tracewitt.congruences import exterior_rows
+
+    def refuse(*args):
+        raise AssertionError("polynomial power mod chi")
+
+    for name, module in list(sys.modules.items()):
+        if name == "tracewitt" or name.startswith("tracewitt."):
+            for attr in ("_mul_mod", "_pow_mod"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    f = random_matrix(5, 3, 17)
+    with pytest.raises(AssertionError):
+        check_matrix_congruences(f, 2, 3)
+    assert check_exterior_congruence(f, 3, 2).overall
+    compound = [row for k in (2, 3) for row in exterior_via_compound(f, 2, k).checks]
+    assert [(r.n, r.lhs, r.rhs, r.modulus) for r in exterior_rows(f, 2, 2, 3)] == [
+        (r.n, r.lhs, r.rhs, r.modulus) for r in compound
+    ]
+    assert witt_to_coeffs(coeffs_to_witt((1, -1, 3), 30), 3) == (1, -1, 3)
+
+
+@pytest.mark.parametrize(
+    "call, pos",
+    [
+        (lambda: check_trace_sequence([Fraction(1, 2), Fraction(5, 2)]), 1),
+        (lambda: check_trace_sequence([1, Fraction(3)], with_witness=True), 2),
+        (lambda: synthesize([Fraction(1), Fraction(3)]), 1),
+    ],
+    ids=["report", "witness", "synthesize"],
+)
+def test_fraction_traces_rejected(call, pos):
+    """Traces are integers: a Fraction, integral or not, is refused by position
+    (``[1/2, 5/2]`` used to pass every congruence as rationals)."""
+    with pytest.raises(ValueError, match=f"entry {pos} must be an int, got Fraction"):
+        call()
+
+
+@given(st.lists(st.integers(-9, 9) | st.fractions(max_denominator=4), max_size=10))
+def test_trace_report_renders_as_json(b):
+    """Every report check_trace_sequence returns renders as JSON and parses back."""
+    try:
+        report = check_trace_sequence(b, with_witness=True)
+    except ValueError:
+        assert any(isinstance(x, Fraction) for x in b)
+        return
+    payload = json.loads(json.dumps(report.to_json_dict()))
+    assert [(r["lhs"], r["rhs"]) for r in payload["checks"]] == [
+        (r.lhs, r.rhs) for r in report.checks
+    ]
+    assert [Fraction(x) for x in payload["witness"]] == list(report.witness)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Exact matrix arithmetic against naive reference implementations."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from tracewitt import (
     trace_sequence,
     traces_to_elementary,
 )
-from tracewitt.matrices import decode_int, encode_int
+from tracewitt.matrices import decode_int, encode_int, encode_scalar
 
 from .oracles import char_coeffs_perm, compound_perm, det_perm, naive_mul, naive_pow, naive_trace
 
@@ -275,6 +277,10 @@ class TestJson:
         assert encode_int(-limit - 1) == str(-limit - 1)
         assert decode_int(str(limit + 1)) == limit + 1
         assert decode_int(7) == 7
+        # an integral Fraction encodes as its integer; any other as "p/q"
+        assert encode_scalar(Fraction(2 * limit + 2, 2)) == str(limit + 1)
+        assert encode_scalar(Fraction(6, 3)) == encode_scalar(2) == 2
+        assert encode_scalar(Fraction(-1, 2)) == "-1/2"
 
     def test_decode_rejects_junk(self):
         with pytest.raises(ValueError):

@@ -60,7 +60,9 @@ class TestCoeffsWitt:
 
     @given(INT_VECS)
     def test_witt_to_coeffs_matches_product_oracle(self, x):
-        assert list(witt_to_coeffs(x)) == witt_product_coeffs(x, len(x))
+        coeffs = witt_to_coeffs(x)
+        assert list(coeffs) == witt_product_coeffs(x, len(x))
+        assert all(type(a) is int for a in coeffs)
 
     def test_truncation_and_padding(self):
         full = coeffs_to_witt((1, -1), 6)
@@ -194,6 +196,20 @@ class TestSieve:
         witt = coeffs_to_witt([0, Fraction(1, 2)])
         assert witt == (0, Fraction(-1, 2))
         assert all(type(x) is Fraction for x in witt)
+        coeffs = witt_to_coeffs([0, Fraction(1, 2)])
+        assert coeffs == (0, Fraction(-1, 2))
+        assert all(type(a) is Fraction for a in coeffs)
+
+    @given(MIXED_VECS, st.data())
+    def test_witt_to_coeffs_matches_product(self, x, data):
+        n = data.draw(st.integers(min_value=0, max_value=len(x) + 8))
+        coeffs = witt_to_coeffs(x, n)
+        assert list(coeffs) == witt_product_coeffs(x, n)
+        # a zero coordinate contributes no ghost, so only a nonzero Fraction counts
+        if any(isinstance(c, Fraction) and c for c in x[:n]):
+            assert all(type(a) is Fraction for a in coeffs)
+        else:
+            assert all(type(a) is int for a in coeffs)
 
 
 def test_witt_maps_call_no_divisors(monkeypatch):

@@ -8,6 +8,7 @@ machine-readable output; the default text format prints aligned tables.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -37,10 +38,17 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(parse_decimal(token) for token in text.replace(",", " ").split())
 
 
+def _rational(token: str) -> Scalar:
+    """An int when ``token`` reads as one, else a Fraction narrowed to an int when integral."""
+    try:
+        return int(token)
+    except ValueError:
+        q = Fraction(token)
+        return int(q) if q.denominator == 1 else q
+
+
 def _parse_rationals(text: str) -> tuple[Scalar, ...]:
-    tokens = text.replace(",", " ").split()
-    rationals = (parse_decimal(token, Fraction, "rational") for token in tokens)
-    return tuple(int(q) if q.denominator == 1 else q for q in rationals)
+    return tuple(parse_decimal(token, _rational, "rational") for token in text.replace(",", " ").split())
 
 
 def _sequence_arg(args, parser) -> str:
@@ -301,8 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main() builds its parser on the first call and reuses it: parsing leaves the
+# parser unchanged, and argparse lays out help text when it prints, not here.
+# build_parser() itself still returns a fresh parser that a caller may change.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     # argparse takes "-2,3" or "-1/2" for an unknown option; after a space it is
     # an option value or the positional sequence, and every parser here strips it.
     argv = sys.argv[1:] if argv is None else argv

@@ -35,7 +35,7 @@ from .matrices import (
     trace_sequence,
 )
 from .newton import _elementary_to_traces, _traces_to_elementary, exact_entries, integrality_check
-from .witt import _witt, smallest_prime_factor
+from .witt import _witt, smallest_prime_factor, smallest_prime_factors
 
 
 def is_prime(n: int) -> bool:
@@ -167,9 +167,15 @@ def check_trace_sequence(
     for pos, value in enumerate(exact_entries(traces), start=1):
         if not isinstance(value, int):
             raise ValueError(f"entry {pos} must be an int, got {value!r:.40}")
+    spf = smallest_prime_factors(len(traces))
     rows = []
     for n in range(2, len(traces) + 1):
-        for p, k, _ in prime_power_split(n):
+        rest = n
+        while rest > 1:  # the parts of prime_power_split(n), p ascending
+            p, k = spf[rest], 0
+            while rest % p == 0:
+                rest //= p
+                k += 1
             rows.append(_row(n, p, k, traces[n - 1], traces[n // p - 1]))
     witness = tuple(map(Fraction, _witt(traces))) if with_witness else None
     policy = {"kind": "trace-sequence", "length": len(traces)}
@@ -418,7 +424,8 @@ def check_character(table: CharacterTable, k_max: int | None = None) -> Congruen
         raise ValueError("k_max must be at least 1")
     m = table.order
     max_abs = max((abs(v) for v in table.values), default=0)
-    primes = [p for p in range(2, m + 1) if is_prime(p)]
+    spf = smallest_prime_factors(m)
+    primes = [p for p in range(2, m + 1) if spf[p] == p]
     bounds = {
         p: (k_max if k_max is not None else character_check_bound(p, m, max_abs))
         for p in primes

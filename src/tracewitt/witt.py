@@ -30,6 +30,7 @@ entry that is neither an int nor a Fraction (a float, a bool) is refused.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import Sequence
 
 from .newton import Scalar, _elementary_to_traces, _traces_to_elementary, exact_entries
@@ -44,6 +45,18 @@ def smallest_prime_factor(n: int, start: int = 2) -> int:
             return d
         d += 1
     return n
+
+
+def smallest_prime_factors(limit: int) -> list[int]:
+    """Table ``spf`` with ``spf[n]`` the smallest prime factor of each
+    2 <= n <= limit (``spf[0] = 0``, ``spf[1] = 1``), so n >= 2 is prime exactly
+    when ``spf[n] == n``.  One sieve: going down from isqrt(limit), each d marks
+    its multiples from d*d, so the smallest divisor d >= 2 of n with d*d <= n,
+    which is n's smallest prime factor when n is composite, writes last."""
+    spf = list(range(limit + 1))
+    for d in range(isqrt(max(limit, 0)), 1, -1):
+        spf[d * d :: d] = [d] * ((limit - d * d) // d + 1)
+    return spf
 
 
 def divisors(n: int) -> list[int]:
@@ -78,9 +91,10 @@ def _witt(ghosts: Sequence[Scalar]) -> tuple[Scalar, ...]:
     return tuple(residues)
 
 
-def _ints_or_fractions(values: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    """``values`` as ints when every entry is one, else all as Fractions."""
-    if any(isinstance(x, Fraction) for x in values):
+def _promoted(values: Sequence[Scalar], used: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """``values`` as Fractions throughout when a Fraction, zero included, is among
+    ``used``, the entries they were computed from; all-int ``used`` gives ints."""
+    if any(isinstance(x, Fraction) for x in used):
         return tuple(map(Fraction, values))
     return tuple(values)
 
@@ -90,7 +104,7 @@ def coeffs_to_witt(coeffs: Sequence[Scalar], n_max: int | None = None) -> tuple[
 
     The sieve of :func:`witt_from_ghost` on the traces b_1..b_N, found in O(N*r).
     Integer input gives integer output (the divisions are exact); input with
-    a Fraction among a_1..a_N gives fractions throughout.
+    a Fraction among a_1..a_N, even a zero one, gives fractions throughout.
 
     >>> coeffs_to_witt([1, -1])
     (1, 1)
@@ -98,21 +112,23 @@ def coeffs_to_witt(coeffs: Sequence[Scalar], n_max: int | None = None) -> tuple[
     (2, 0, 0, 0)
     """
     n = len(coeffs) if n_max is None else n_max
-    return _ints_or_fractions(_witt(_elementary_to_traces(exact_entries(coeffs)[:n], n)))
+    used = exact_entries(coeffs)[:n]
+    return _promoted(_witt(_elementary_to_traces(used, n)), used)
 
 
 def witt_to_coeffs(witt: Sequence[Scalar], n_max: int | None = None) -> tuple[Scalar, ...]:
     """Coefficients a_1..a_N from Witt coordinates; inverse of coeffs_to_witt.
 
     Newton's identities on the ghosts b_1..b_N, which are the traces: O(N^2)
-    multiplies.  Integer input gives integer output; input with a nonzero
-    Fraction among x_1..x_N gives fractions throughout.
+    multiplies.  Integer input gives integer output; input with a Fraction
+    among x_1..x_N, even a zero one, gives fractions throughout, as in
+    :func:`coeffs_to_witt`.
 
     >>> witt_to_coeffs([1, 1])
     (1, -1)
     """
     n = len(witt) if n_max is None else n_max
-    return _ints_or_fractions(_traces_to_elementary(ghost_from_witt(witt, n)))
+    return _promoted(_traces_to_elementary(ghost_from_witt(witt, n)), witt[:n])
 
 
 def ghost_from_witt(witt: Sequence[Scalar], n_max: int) -> tuple[Scalar, ...]:

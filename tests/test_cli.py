@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from tracewitt.cli import main, run_fuzz
+from tracewitt.cli import _parser, build_parser, main, run_fuzz
 
 
 def run_cli(*args, stdin=None):
@@ -260,6 +260,48 @@ class TestInProcessMain:
     def test_synthesize(self, capsys):
         assert main(["synthesize", "--traces", "2"]) == 0
         assert capsys.readouterr().out.strip() == '{"dim":1,"entries":[[2]]}'
+
+
+class TestOneParserPerProcess:
+    """main() reuses one parser; each call must still behave like a fresh process."""
+
+    SEQUENCE = [
+        ["check-traces", "1,3,4,7", "--format", "json", "--no-timestamp"],
+        ["check-traces", "1,3,4,7"],
+        ["check-traces", "1,2", "--traces", "3"],
+        ["--help"],
+        ["ghost", "x", "--count", "3"],
+        ["synthesize", "1,3"],
+        ["ghost", "1/2,3", "--count", "4"],
+        ["check-traces", "--help"],
+        ["check-traces", "0,1", "--format", "json", "--no-timestamp"],
+        ["check-traces", "0,1"],
+    ]
+
+    @staticmethod
+    def in_process(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_parser_is_built_once(self):
+        assert _parser() is _parser()
+        # the public builder still hands each caller a parser of its own
+        assert build_parser() is not build_parser()
+
+    @pytest.mark.parametrize("columns", ["80", "40"])
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, monkeypatch, columns):
+        # help text is laid out when printed, so the width a call sees is its own
+        monkeypatch.setenv("COLUMNS", columns)
+        got = [self.in_process(argv, capsys) for argv in self.SEQUENCE]
+        fresh = [run_cli(*argv) for argv in self.SEQUENCE]
+        assert got == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+        assert [code for code, _, _ in got] == [0, 0, 2, 0, 2, 0, 0, 0, 1, 1]
+        assert got[0][1].startswith('{"overall":true') and got[1][1].startswith("n  p^k")
+        assert max(map(len, got[7][1].splitlines())) <= int(columns)  # check-traces --help
 
 
 class TestInputGrammar:

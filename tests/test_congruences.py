@@ -25,6 +25,8 @@ from tracewitt import (
     synthesize,
     trace_sequence,
 )
+from tracewitt.congruences import CongruenceRow
+from tracewitt.witt import smallest_prime_factor, smallest_prime_factors
 
 from .oracles import (
     char_coeffs_perm,
@@ -36,8 +38,13 @@ from .oracles import (
 
 
 def test_is_prime_small_table():
-    primes = {n for n in range(100) if is_prime(n)}
-    assert primes == set(sieve_primes(99))
+    # trial division and the smallest-prime-factor sieve against the oracle
+    spf = smallest_prime_factors(2000)
+    assert len(spf) == 2001 and spf[:2] == [0, 1]
+    assert [n for n in range(2001) if is_prime(n)] == sieve_primes(2000)
+    assert [n for n in range(2, 2001) if spf[n] == n] == sieve_primes(2000)
+    assert all(spf[n] == smallest_prime_factor(n) for n in range(2, 2001))
+    assert smallest_prime_factors(0) == [0] and smallest_prime_factors(-1) == []
 
 
 class TestPrimePowerSplit:
@@ -85,6 +92,18 @@ class TestCheckTraceSequence:
         # one row per (n, prime factor of n)
         report = check_trace_sequence([0] * 12)
         assert len(report.checks) == sum(len(prime_power_split(n)) for n in range(2, 13))
+
+    def test_rows_follow_prime_power_split(self):
+        # every length N = 0..600, rows in the order of prime_power_split(n), n ascending
+        b = [(n * n) % 17 - 8 for n in range(1, 601)]
+        expected = []
+        for length in range(601):
+            if length >= 2:
+                for p, k, _ in prime_power_split(length):
+                    lhs, rhs = b[length - 1], b[length // p - 1]
+                    expected.append(CongruenceRow(length, p, k, lhs, rhs, p**k, (lhs - rhs) % p**k == 0))
+            assert check_trace_sequence(b[:length]).checks == tuple(expected)
+        assert not all(row.passed for row in expected) and any(row.passed for row in expected)
 
     def test_witness_attached_on_request(self):
         report = check_trace_sequence([2, 4, 8], with_witness=True)
@@ -325,6 +344,10 @@ class TestCheckCharacter:
         assert report.policy["kind"] == "character"
         assert report.policy["mode"] == "auto"
         assert set(report.policy["k_bounds"]) == {"2", "3", "5"}
+        for m in range(1, 61):
+            for k_max in (None, 2):
+                bounds = check_character(regular_table(m), k_max).policy["k_bounds"]
+                assert list(bounds) == [str(p) for p in sieve_primes(m)]
 
     def test_cap_mode(self):
         report = check_character(regular_table(6), k_max=1)

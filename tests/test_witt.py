@@ -191,6 +191,8 @@ class TestSieve:
     def test_fraction_beyond_the_truncation_keeps_ints(self):
         assert coeffs_to_witt([1, -1, Fraction(1, 2)], 2) == (1, 1)
         assert all(type(x) is int for x in coeffs_to_witt([1, -1, Fraction(1, 2)], 2))
+        assert witt_to_coeffs([1, 1, Fraction(1, 2)], 2) == (1, -1)
+        assert all(type(a) is int for a in witt_to_coeffs([1, 1, Fraction(1, 2)], 2))
 
     def test_mixed_input_gives_fractions_throughout(self):
         witt = coeffs_to_witt([0, Fraction(1, 2)])
@@ -199,14 +201,23 @@ class TestSieve:
         coeffs = witt_to_coeffs([0, Fraction(1, 2)])
         assert coeffs == (0, Fraction(-1, 2))
         assert all(type(a) is Fraction for a in coeffs)
+        # one rule for both inverse maps: the input types decide, not the values
+        for convert, entries, expected in [
+            (coeffs_to_witt, [0, Fraction(0)], (0, 0)),
+            (witt_to_coeffs, [0, Fraction(0)], (0, 0)),
+            (witt_to_coeffs, [1, Fraction(0)], (1, 0)),
+            (coeffs_to_witt, [Fraction(1), -1], (1, 1)),
+        ]:
+            result = convert(entries)
+            assert result == expected
+            assert all(type(v) is Fraction for v in result)
 
     @given(MIXED_VECS, st.data())
     def test_witt_to_coeffs_matches_product(self, x, data):
         n = data.draw(st.integers(min_value=0, max_value=len(x) + 8))
         coeffs = witt_to_coeffs(x, n)
         assert list(coeffs) == witt_product_coeffs(x, n)
-        # a zero coordinate contributes no ghost, so only a nonzero Fraction counts
-        if any(isinstance(c, Fraction) and c for c in x[:n]):
+        if any(isinstance(c, Fraction) for c in x[:n]):
             assert all(type(a) is Fraction for a in coeffs)
         else:
             assert all(type(a) is int for a in coeffs)

@@ -330,6 +330,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    except (MemoryError, OverflowError) as exc:  # a count too large to allocate or index
+        print(f"error: input too large: {type(exc).__name__}: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return INPUT_ERROR
     finally:
         if saved_limit:
             sys.set_int_max_str_digits(saved_limit)

@@ -143,17 +143,17 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def mat_pow(f: IntMatrix, n: int) -> IntMatrix:
-    """``f**n`` by repeated squaring; ``f**0`` is the identity."""
+    """``f**n`` by repeated squaring from the lowest set bit: ``f**0`` is the
+    identity, and n >= 1 costs ``n.bit_length() + popcount(n) - 2`` products."""
     if n < 0:
         raise ValueError("exponent must be non-negative")
-    result = IntMatrix.identity(f.dim)
+    result = None if n else IntMatrix.identity(f.dim)
     base = f
     while n:
         if n & 1:
-            result = mat_mul(result, base)
-        base_needed = n > 1
+            result = base if result is None else mat_mul(result, base)
         n >>= 1
-        if base_needed:
+        if n:
             base = mat_mul(base, base)
     return result
 

@@ -17,7 +17,9 @@ converts one into the other.  Going from traces to coefficients divides by
 the question the congruence checker answers.  The recursion runs on integer
 numerators over one common denominator, which stays 1 for a trace
 sequence; :class:`fractions.Fraction` appears only in the output (and for
-rational input) -- no floating point, ever.
+rational input) -- no floating point, ever.  Each step sums only up to the
+last nonzero coefficient: N traces of degree r cost O(N*r) multiplies, and
+O(N^2) only once a congruence fails.
 """
 
 from __future__ import annotations
@@ -59,11 +61,14 @@ def _traces_to_elementary(traces: Sequence[Scalar]) -> tuple[Scalar, ...]:
     # a_k = numer[k] / denom throughout.  At step n the sum acc equals
     # n * denom * a_n; the common denominator grows by n // gcd(acc, n) only
     # when n does not divide acc, which never happens for a trace sequence.
-    signed = [b if i % 2 else -b for i, b in enumerate(traces, start=1)]
+    # The signed traces run backwards, so numer[i] meets (-1)^(n-i-1) * b_(n-i)
+    # at signed[count - n + i]; the sum stops at numer[last], the last nonzero one.
+    count = len(traces)
+    signed = [b if i % 2 else -b for i, b in enumerate(traces, start=1)][::-1]
     numer: list[Scalar] = [1]
-    denom = 1
-    for n in range(1, len(signed) + 1):
-        acc = sum(map(mul, reversed(numer), signed))
+    denom, last = 1, 0
+    for n in range(1, count + 1):
+        acc = sum(map(mul, numer, signed[count - n : count - n + last + 1]))
         if isinstance(acc, int):
             g = gcd(acc, n)
             if g != n:
@@ -73,6 +78,8 @@ def _traces_to_elementary(traces: Sequence[Scalar]) -> tuple[Scalar, ...]:
             numer.append(acc // g)
         else:
             numer.append(acc / n)
+        if acc:
+            last = n
     return tuple(numer[1:]) if denom == 1 else tuple(Fraction(x, denom) for x in numer[1:])
 
 

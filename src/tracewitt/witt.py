@@ -19,7 +19,7 @@ Both ghost maps are a sieve: ``-t d/dt log`` of the product is
 running powers, one multiply each -- O(N log N) big-integer multiplies for N
 components, no divisor lists.  Coefficients and Witt coordinates meet in
 their traces, since the ghosts are the traces: Newton's identities (O(N*r)
-from r coefficients, O(N^2) back to them) composed with the sieve.
+for degree r, O(N^2) once a congruence fails) composed with the sieve.
 
 Non-integral inputs are allowed everywhere and propagate as exact
 :class:`fractions.Fraction` values: a near-miss like ``x_2 = 1/2`` is useful
@@ -119,10 +119,10 @@ def coeffs_to_witt(coeffs: Sequence[Scalar], n_max: int | None = None) -> tuple[
 def witt_to_coeffs(witt: Sequence[Scalar], n_max: int | None = None) -> tuple[Scalar, ...]:
     """Coefficients a_1..a_N from Witt coordinates; inverse of coeffs_to_witt.
 
-    Newton's identities on the ghosts b_1..b_N, which are the traces: O(N^2)
-    multiplies.  Integer input gives integer output; input with a Fraction
-    among x_1..x_N, even a zero one, gives fractions throughout, as in
-    :func:`coeffs_to_witt`.
+    Newton's identities on the ghosts b_1..b_N, which are the traces: O(N*r)
+    multiplies for degree r, O(N^2) once a congruence fails.  Integer input
+    gives integer output; input with a Fraction among x_1..x_N, even a zero
+    one, gives fractions throughout, as in :func:`coeffs_to_witt`.
 
     >>> witt_to_coeffs([1, 1])
     (1, -1)

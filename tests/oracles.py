@@ -138,6 +138,15 @@ def witt_by_definition(ghosts: list) -> list[Fraction]:
     return witt
 
 
+def newton_by_definition(traces: list) -> list[Fraction]:
+    """a_n = (sum of (-1)^(i-1) * a_(n-i) * b_i over every i = 1..n) / n, a_0 = 1, over Q."""
+    coeffs = [Fraction(1)]
+    for n in range(1, len(traces) + 1):
+        acc = sum((-1) ** (i - 1) * coeffs[n - i] * traces[i - 1] for i in range(1, n + 1))
+        coeffs.append(acc / n)
+    return coeffs[1:]
+
+
 def sieve_primes(limit: int) -> list[int]:
     flags = [True] * (limit + 1)
     flags[0:2] = [False, False]

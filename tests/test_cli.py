@@ -262,6 +262,23 @@ class TestInProcessMain:
         assert capsys.readouterr().out.strip() == '{"dim":1,"entries":[[2]]}'
 
 
+class TestCountTooLarge:
+    @pytest.mark.parametrize(
+        "count, cause",
+        [
+            ("4611686018427387904", "MemoryError: out of memory"),  # over the largest list
+            ("10000000000000000000", "OverflowError: "),  # over the index range
+        ],
+    )
+    def test_exits_two_with_one_line(self, capsys, count, cause):
+        # each is refused before any allocation
+        assert main(["ghost", "1", "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: input too large: {cause}")
+        assert captured.err.count("\n") == 1
+
+
 class TestOneParserPerProcess:
     """main() reuses one parser; each call must still behave like a fresh process."""
 

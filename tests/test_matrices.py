@@ -19,6 +19,7 @@ from tracewitt import (
     trace_sequence,
     traces_to_elementary,
 )
+from tracewitt import matrices
 from tracewitt.matrices import decode_int, encode_int, encode_scalar
 
 from .oracles import char_coeffs_perm, compound_perm, det_perm, naive_mul, naive_pow, naive_trace
@@ -81,6 +82,17 @@ class TestArithmetic:
     def test_pow_matches_naive(self, rows, n):
         got = mat_pow(as_matrix(rows), n)
         assert [list(r) for r in got.entries] == naive_pow(rows, n)
+
+    def test_pow_product_count(self, monkeypatch):
+        # the result starts as the power at the lowest set bit: no identity product
+        products = []
+        monkeypatch.setattr(matrices, "mat_mul", lambda a, b: products.append(1) or mat_mul(a, b))
+        rows = [[1, 2, 0], [-1, 1, 3], [2, 0, -2]]
+        for n in range(40):
+            products.clear()
+            got = mat_pow(as_matrix(rows), n)
+            assert len(products) == (n.bit_length() + bin(n).count("1") - 2 if n else 0)
+            assert [list(r) for r in got.entries] == naive_pow(rows, n)
 
     def test_pow_rejects_negative(self):
         with pytest.raises(ValueError):

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from tracewitt import elementary_to_traces, integrality_check, traces_to_elementary
 from tracewitt.newton import as_integers
 
-from .oracles import lucas, series_traces
+from .oracles import lucas, newton_by_definition, series_traces
 
 INTS = st.lists(st.integers(min_value=-30, max_value=30), max_size=8)
+# det(1 + t*f) of degree 0..10, zero coefficients drawn often
+DEGREE_R = st.lists(st.just(0) | st.integers(min_value=-4, max_value=4), max_size=10)
 
 
 def test_fibonacci_coefficients():
@@ -130,3 +132,47 @@ def test_series_oracle_on_rationals(b):
 def test_float_and_bool_entries_rejected(call):
     with pytest.raises(ValueError, match="entry 2 must be an int or a Fraction"):
         call()
+
+
+@settings(deadline=None)
+@given(DEGREE_R, st.integers(min_value=0, max_value=80), st.data())
+def test_newton_oracle_on_degree_r_traces(a, n, data):
+    # the kernel sums only up to the last nonzero coefficient; a bump or a
+    # rational entry makes later coefficients nonzero and the sums full again
+    b = list(elementary_to_traces(a, n))
+    if n and data.draw(st.booleans(), label="bump"):
+        b[data.draw(st.integers(0, n - 1), label="pos")] += data.draw(st.sampled_from((1, -1)))
+    if n and data.draw(st.booleans(), label="fractions"):
+        mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        b = [Fraction(x) if m else x for x, m in zip(b, mask)]
+        if data.draw(st.booleans(), label="non-integral"):
+            b[data.draw(st.integers(0, n - 1))] = data.draw(st.fractions(max_denominator=6))
+    coeffs = traces_to_elementary(b)
+    assert all(type(x) is Fraction for x in coeffs)
+    assert list(coeffs) == newton_by_definition(b)
+
+
+class CountingInt(int):
+    """An int that counts the products it takes part in."""
+
+    products = 0
+
+    def __mul__(self, other):
+        CountingInt.products += 1
+        return int.__mul__(self, other)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return CountingInt(-int(self))
+
+
+def test_degree_r_traces_cost_n_times_r_products():
+    a, n = (2, -1, 3), 300
+    b = [CountingInt(x) for x in elementary_to_traces(a, n)]
+    CountingInt.products = 0
+    assert traces_to_elementary(b) == tuple(map(Fraction, a)) + (0,) * (n - len(a))
+    assert CountingInt.products <= (len(a) + 1) * n
+    bumped = b[:]
+    bumped[150] = CountingInt(bumped[150] + 1)
+    assert list(traces_to_elementary(bumped)) == newton_by_definition(bumped)

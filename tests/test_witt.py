@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracewitt import (
@@ -63,6 +63,21 @@ class TestCoeffsWitt:
         coeffs = witt_to_coeffs(x)
         assert list(coeffs) == witt_product_coeffs(x, len(x))
         assert all(type(a) is int for a in coeffs)
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(-4, 4), max_size=8), st.integers(0, 40), st.data())
+    def test_witt_to_coeffs_types_match_product_oracle(self, a, n, data):
+        # Witt coordinates of a degree-r polynomial, perhaps bumped or with Fraction entries
+        x = list(coeffs_to_witt(a, n))
+        if n and data.draw(st.booleans(), label="bump"):
+            x[data.draw(st.integers(0, n - 1), label="pos")] += 1
+        if n and data.draw(st.booleans(), label="fraction"):
+            pos = data.draw(st.integers(0, n - 1), label="fraction pos")
+            x[pos] = data.draw(st.sampled_from((Fraction(x[pos]), Fraction(1, 2))))
+        coeffs = witt_to_coeffs(x)
+        assert list(coeffs) == witt_product_coeffs(x, n)
+        expected = Fraction if any(type(v) is Fraction for v in x) else int
+        assert all(type(c) is expected for c in coeffs)
 
     def test_truncation_and_padding(self):
         full = coeffs_to_witt((1, -1), 6)

@@ -51,18 +51,8 @@ def _parse_rationals(text: str) -> tuple[Scalar, ...]:
     return tuple(parse_decimal(token, _rational, "rational") for token in text.replace(",", " ").split())
 
 
-def _sequence_arg(args, parser) -> str:
-    """Resolve the positional/--traces pair; '-' means read stdin."""
-    flag = getattr(args, "traces", None)
-    positional = getattr(args, "values", None)
-    if flag is not None and positional is not None:
-        parser.error("give the sequence either positionally or via --traces, not both")
-    text = flag if flag is not None else positional
-    if text is None:
-        parser.error("a sequence is required (positionally, via --traces, or '-' for stdin)")
-    if text == "-":
-        return sys.stdin.read()
-    return text
+def _sequence_arg(args) -> str:
+    return sys.stdin.read() if args.values == "-" else args.values
 
 
 def _load_json(path: str):
@@ -137,16 +127,16 @@ def _emit_report(report: CongruenceReport, args) -> None:
 
 
 def cmd_check_traces(args, parser) -> int:
-    traces = _parse_ints(_sequence_arg(args, parser))
+    traces = _parse_ints(_sequence_arg(args))
     report = check_trace_sequence(traces)
     _emit_report(report, args)
     return OK if report.overall else MATH_FAIL
 
 
 def cmd_synthesize(args, parser) -> int:
-    traces = _parse_ints(_sequence_arg(args, parser))
+    traces = _parse_ints(_sequence_arg(args))
     try:
-        matrix = synthesize(traces, self_check=not args.no_self_check)
+        matrix = synthesize(traces)
     except InvalidTraceSequenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         _emit_report(exc.report, args)
@@ -170,7 +160,7 @@ def cmd_charpoly(args, parser) -> int:
 
 
 def cmd_witt(args, parser) -> int:
-    traces = _parse_ints(_sequence_arg(args, parser))
+    traces = _parse_ints(_sequence_arg(args))
     _emit_values(witt_from_ghost(traces), args)
     return OK
 
@@ -178,7 +168,7 @@ def cmd_witt(args, parser) -> int:
 def cmd_ghost(args, parser) -> int:
     if args.count < 0:
         parser.error("--count must be non-negative")
-    witt = _parse_rationals(_sequence_arg(args, parser))
+    witt = _parse_rationals(_sequence_arg(args))
     _emit_values(ghost_from_witt(witt, args.count), args)
     return OK
 
@@ -258,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--no-timestamp", action="store_true", help="omit timestamps from JSON output")
-    common.add_argument("--seed", type=int, default=0, help="PRNG seed for randomized commands")
 
     parser = argparse.ArgumentParser(
         prog="tracewitt",
@@ -268,14 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def sequence_command(name, func, help_text):
         p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("values", nargs="?", help="comma-separated values ('-' for stdin)")
-        p.add_argument("--traces", help="comma-separated values ('-' for stdin)")
+        p.add_argument("values", help="comma-separated values ('-' for stdin)")
         p.set_defaults(func=func)
         return p
 
     sequence_command("check-traces", cmd_check_traces, "check the trace-sequence congruences")
-    syn = sequence_command("synthesize", cmd_synthesize, "build a witness matrix for a sequence")
-    syn.add_argument("--no-self-check", action="store_true", help="skip recomputing traces of the result")
+    sequence_command("synthesize", cmd_synthesize, "build a witness matrix for a sequence")
     sequence_command("witt", cmd_witt, "Witt coordinates of a trace sequence")
     ghost = sequence_command("ghost", cmd_ghost, "ghost components of Witt coordinates (rationals allowed)")
     ghost.add_argument("--count", type=int, required=True, help="number of components to produce")
@@ -301,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     ce.set_defaults(func=cmd_check_exterior)
 
     fz = sub.add_parser("fuzz", parents=[common], help="random-matrix oracle run")
+    fz.add_argument("--seed", type=int, default=0, help="PRNG seed for randomized commands")
     fz.add_argument("--trials", type=int, default=100)
     fz.add_argument("--dim", type=int, default=4)
     fz.add_argument("--entry-bound", type=int, default=3)

@@ -67,9 +67,9 @@ def prime_power_split(n: int) -> tuple[PrimePower, ...]:
     if n < 1:
         raise ValueError("n must be positive")
     parts = []
-    rest, p = n, 1
+    rest = n
     while rest > 1:
-        p = smallest_prime_factor(rest, p + 1)
+        p = smallest_prime_factor(rest)
         k = 0
         while rest % p == 0:
             rest //= p
@@ -182,7 +182,7 @@ def check_trace_sequence(
     return CongruenceReport(tuple(rows), policy, witness)
 
 
-def synthesize(traces: Sequence[int], *, self_check: bool = True) -> IntMatrix:
+def synthesize(traces: Sequence[int]) -> IntMatrix:
     """Produce an integer matrix whose power traces are exactly b_1..b_N.
 
     The witness is the companion matrix of the characteristic coefficients
@@ -190,8 +190,7 @@ def synthesize(traces: Sequence[int], *, self_check: bool = True) -> IntMatrix:
     precisely because the congruences hold.  Trailing zero coefficients are
     dropped, so the witness dimension is deg det(1 + t*f) <= N: the smallest
     companion that reproduces all N traces (``synthesize([2, 4, 8, 16])`` is
-    ``[[2]]``).  With ``self_check`` (default) the traces are recomputed from
-    the result before returning.
+    ``[[2]]``).  The traces are recomputed from the result before returning.
 
     Raises :class:`InvalidTraceSequenceError`, carrying the failing report
     rows and the Witt witness, when the sequence is not a trace sequence.
@@ -205,7 +204,7 @@ def synthesize(traces: Sequence[int], *, self_check: bool = True) -> IntMatrix:
     while degree and coeffs[degree - 1] == 0:
         degree -= 1
     matrix = companion_matrix(coeffs[:degree])
-    if self_check and trace_sequence(matrix, len(traces)) != tuple(traces):
+    if trace_sequence(matrix, len(traces)) != tuple(traces):
         raise ArithmeticError("synthesized matrix fails to reproduce its traces; this is a bug")
     return matrix
 
@@ -224,8 +223,8 @@ def lemma6_verify(a: int, p: int, k: int) -> bool:
 
 
 def _mul_mod(u: list[int], v: list[int], signed: Sequence[int]) -> list[int]:
-    """``u * v`` modulo ``chi(x) = x^r - signed_1*x^(r-1) - ... - signed_r`` on
-    coefficient lists, lowest degree first; by Cayley-Hamilton it is u(f)*v(f)."""
+    """``u * v`` modulo ``chi(x) = x^r - signed_1*x^(r-1) - ... - signed_r`` on coefficient
+    lists, lowest degree first, missing high ones zero; by Cayley-Hamilton it is u(f)*v(f)."""
     prod = [0] * (len(u) + len(v) - 1)
     for i, a in enumerate(u):
         for j, b in enumerate(v, start=i):
@@ -234,7 +233,7 @@ def _mul_mod(u: list[int], v: list[int], signed: Sequence[int]) -> list[int]:
         top = prod.pop()  # x^d = sum signed_i * x^(d-i), with d = len(prod)
         for i, s in enumerate(signed, start=1):
             prod[-i] += s * top
-    return prod + [0] * (len(signed) - len(prod))
+    return prod
 
 
 def _pow_mod(u: list[int], e: int, signed: Sequence[int]) -> list[int]:
@@ -323,9 +322,8 @@ def exterior_via_compound(f: IntMatrix, p: int, k: int) -> CongruenceReport:
     rows = []
     for i in range(1, f.dim + 1):
         wedge = compound_matrix(f, i)
-        lhs = mat_pow(wedge, p**k).trace()
-        rhs = mat_pow(wedge, p ** (k - 1)).trace()
-        rows.append(_row(i, p, k, lhs, rhs))
+        low = mat_pow(wedge, p ** (k - 1))
+        rows.append(_row(i, p, k, mat_pow(low, p).trace(), low.trace()))
     policy = {"kind": "exterior-power-compound", "p": p, "k": k, "dim": f.dim}
     return CongruenceReport(tuple(rows), policy)
 

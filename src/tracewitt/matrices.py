@@ -192,8 +192,6 @@ def char_poly_coeffs(f: IntMatrix) -> tuple[int, ...]:
 def _det(rows: list[list[int]]) -> int:
     """Determinant by cofactor expansion along the first row."""
     n = len(rows)
-    if n == 0:
-        return 1
     if n == 1:
         return rows[0][0]
     if n == 2:

@@ -36,10 +36,9 @@ from typing import Sequence
 from .newton import Scalar, _elementary_to_traces, _traces_to_elementary, exact_entries
 
 
-def smallest_prime_factor(n: int, start: int = 2) -> int:
-    """Smallest prime factor of n >= 2 (n itself when prime), by trial
-    division from ``start``; n must have no prime factor below ``start``."""
-    d = start
+def smallest_prime_factor(n: int) -> int:
+    """Smallest prime factor of n >= 2 (n itself when prime), by trial division."""
+    d = 2
     while d * d <= n:
         if n % d == 0:
             return d

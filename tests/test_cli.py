@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
+import argparse
 import io
 import json
 import subprocess
@@ -21,13 +22,13 @@ def run_cli(*args, stdin=None):
 
 class TestExitCodes:
     def test_valid_sequence_exits_zero(self):
-        assert run_cli("check-traces", "--traces", "1,3").returncode == 0
+        assert run_cli("check-traces", "1,3").returncode == 0
 
     def test_invalid_sequence_exits_one(self):
-        assert run_cli("check-traces", "--traces", "0,1").returncode == 1
+        assert run_cli("check-traces", "0,1").returncode == 1
 
     def test_parse_error_exits_two(self):
-        proc = run_cli("check-traces", "--traces", "1,x")
+        proc = run_cli("check-traces", "1,x")
         assert proc.returncode == 2
         assert "x" in proc.stderr
 
@@ -35,27 +36,27 @@ class TestExitCodes:
         assert run_cli("traces", "/no/such/file.json", "--count", "3").returncode == 2
 
     def test_unknown_flag_exits_two(self):
-        assert run_cli("check-traces", "--traces", "1,3", "--bogus").returncode == 2
+        assert run_cli("check-traces", "1,3", "--bogus").returncode == 2
 
     def test_unknown_command_exits_two(self):
         assert run_cli("frobnicate").returncode == 2
 
     def test_synthesize_invalid_exits_one(self):
-        proc = run_cli("synthesize", "--traces", "0,1")
+        proc = run_cli("synthesize", "0,1")
         assert proc.returncode == 1
         assert "FAIL" in proc.stdout
 
 
 class TestCheckTraces:
     def test_failing_row_identified(self):
-        proc = run_cli("check-traces", "--traces", "0,1", "--format", "json", "--no-timestamp")
+        proc = run_cli("check-traces", "0,1", "--format", "json", "--no-timestamp")
         report = json.loads(proc.stdout)
         assert report["overall"] is False
         bad = [c for c in report["checks"] if not c["pass"]]
         assert [(c["n"], c["p"], c["k"]) for c in bad] == [(2, 2, 1)]
 
     def test_text_table_headers(self):
-        proc = run_cli("check-traces", "--traces", "1,3")
+        proc = run_cli("check-traces", "1,3")
         assert "b_n" in proc.stdout and "b_{n/p}" in proc.stdout
         assert "overall: PASS" in proc.stdout
 
@@ -66,30 +67,26 @@ class TestCheckTraces:
         proc = run_cli("check-traces", "-", stdin="1 3 4 7\n")
         assert proc.returncode == 0
 
-    def test_flag_and_positional_conflict(self):
-        assert run_cli("check-traces", "1,3", "--traces", "1,3").returncode == 2
-
     def test_no_sequence_given(self):
         assert run_cli("check-traces").returncode == 2
 
     def test_leading_negative_positional(self):
         proc = run_cli("check-traces", "-2,3")
         assert proc.returncode == 1
-        assert proc.stdout == run_cli("check-traces", "--traces=-2,3").stdout
         assert "2  2^1    3       -2     5     FAIL" in proc.stdout
 
 
 class TestSynthesize:
     def test_fibonacci_exact_output(self):
-        proc = run_cli("synthesize", "--traces", "1,3")
+        proc = run_cli("synthesize", "1,3")
         assert proc.stdout.strip() == '{"dim":2,"entries":[[0,1],[1,1]]}'
 
     def test_scalar_exact_output(self):
-        proc = run_cli("synthesize", "--traces", "2")
+        proc = run_cli("synthesize", "2")
         assert proc.stdout.strip() == '{"dim":1,"entries":[[2]]}'
 
     def test_round_trips_through_traces(self):
-        matrix_json = run_cli("synthesize", "--traces", "1,3,4,7").stdout
+        matrix_json = run_cli("synthesize", "1,3,4,7").stdout
         proc = run_cli("traces", "-", "--count", "4", stdin=matrix_json)
         assert proc.stdout.strip() == "1,3,4,7"
 
@@ -108,23 +105,23 @@ class TestConversions:
         assert proc.stdout.strip() == "1,-1"
 
     def test_witt_of_powers_of_two(self):
-        proc = run_cli("witt", "--traces", "2,4,8,16")
+        proc = run_cli("witt", "2,4,8,16")
         assert proc.stdout.strip() == "2,0,0,0"
 
     def test_witt_rational_rendering(self):
-        proc = run_cli("witt", "--traces", "0,1")
+        proc = run_cli("witt", "0,1")
         assert proc.stdout.strip() == "0,1/2"
 
     def test_ghost_teichmueller(self):
-        proc = run_cli("ghost", "--traces", "1", "--count", "3")
+        proc = run_cli("ghost", "1", "--count", "3")
         assert proc.stdout.strip() == "1,1,1"
 
     def test_ghost_accepts_rationals(self):
-        proc = run_cli("ghost", "--traces", "0,1/2", "--count", "2")
+        proc = run_cli("ghost", "0,1/2", "--count", "2")
         assert proc.stdout.strip() == "0,1"
 
     def test_values_json_format(self):
-        proc = run_cli("witt", "--traces", "0,1", "--format", "json", "--no-timestamp")
+        proc = run_cli("witt", "0,1", "--format", "json", "--no-timestamp")
         assert json.loads(proc.stdout) == {"values": [0, "1/2"]}
 
 
@@ -205,15 +202,15 @@ class TestExteriorCommand:
 
 class TestTimestamps:
     def test_report_json_has_timestamp_by_default(self):
-        proc = run_cli("check-traces", "--traces", "1,3", "--format", "json")
+        proc = run_cli("check-traces", "1,3", "--format", "json")
         assert "timestamp" in json.loads(proc.stdout)
 
     def test_no_timestamp_flag(self):
-        proc = run_cli("check-traces", "--traces", "1,3", "--format", "json", "--no-timestamp")
+        proc = run_cli("check-traces", "1,3", "--format", "json", "--no-timestamp")
         assert "timestamp" not in json.loads(proc.stdout)
 
     def test_matrix_output_never_timestamped(self):
-        proc = run_cli("synthesize", "--traces", "1,3")
+        proc = run_cli("synthesize", "1,3")
         assert "timestamp" not in proc.stdout
 
 
@@ -246,19 +243,19 @@ class TestFuzz:
 
 class TestInProcessMain:
     def test_check_ok(self, capsys):
-        assert main(["check-traces", "--traces", "1,3"]) == 0
+        assert main(["check-traces", "1,3"]) == 0
         assert "PASS" in capsys.readouterr().out
 
     def test_check_fail(self, capsys):
-        assert main(["check-traces", "--traces", "0,1"]) == 1
+        assert main(["check-traces", "0,1"]) == 1
         capsys.readouterr()
 
     def test_parse_error(self, capsys):
-        assert main(["check-traces", "--traces", "nope"]) == 2
+        assert main(["check-traces", "nope"]) == 2
         assert "nope" in capsys.readouterr().err
 
     def test_synthesize(self, capsys):
-        assert main(["synthesize", "--traces", "2"]) == 0
+        assert main(["synthesize", "2"]) == 0
         assert capsys.readouterr().out.strip() == '{"dim":1,"entries":[[2]]}'
 
 
@@ -285,7 +282,7 @@ class TestOneParserPerProcess:
     SEQUENCE = [
         ["check-traces", "1,3,4,7", "--format", "json", "--no-timestamp"],
         ["check-traces", "1,3,4,7"],
-        ["check-traces", "1,2", "--traces", "3"],
+        ["check-traces", "1,2", "3"],
         ["--help"],
         ["ghost", "x", "--count", "3"],
         ["synthesize", "1,3"],
@@ -321,25 +318,53 @@ class TestOneParserPerProcess:
         assert max(map(len, got[7][1].splitlines())) <= int(columns)  # check-traces --help
 
 
-class TestInputGrammar:
-    @pytest.mark.parametrize(
-        "argv",
-        [["check-traces", "-2,3"], ["ghost", "-1/2", "--count", "2"]],
-        ids=["check-traces", "ghost"],
-    )
-    def test_negative_option_value(self, capsys, argv):
-        command, value, *rest = argv
-        code = main([command, f"--traces={value}", *rest])
-        expected = capsys.readouterr().out
-        assert main([command, "--traces", value, *rest]) == code
-        assert capsys.readouterr().out == expected
-        assert expected
+class TestParserSurface:
+    """Every settable value has a caller, and each input comes in one way."""
+
+    DESTS = {
+        "check-traces": ("format", "no_timestamp", "values"),
+        "synthesize": ("format", "no_timestamp", "values"),
+        "witt": ("format", "no_timestamp", "values"),
+        "ghost": ("format", "no_timestamp", "values", "count"),
+        "traces": ("format", "no_timestamp", "matrix", "count"),
+        "charpoly": ("format", "no_timestamp", "matrix"),
+        "check-character": ("format", "no_timestamp", "table", "kmax"),
+        "check-exterior": ("format", "no_timestamp", "matrix", "prime", "kmax"),
+        "fuzz": ("format", "no_timestamp", "seed", "trials", "dim", "entry_bound"),
+    }
+
+    def test_option_dests_per_subcommand(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        got = {
+            name: tuple(a.dest for a in command._actions if a.dest != "help")
+            for name, command in sub.choices.items()
+        }
+        assert got == self.DESTS
+        assert sum(map(len, got.values())) == 35
 
     @pytest.mark.parametrize(
         "argv",
         [
+            ["check-traces", "1,3", "--seed", "1"],
+            ["check-traces", "--traces", "1,3"],
+            ["synthesize", "1,3", "--no-self-check"],
+        ],
+        ids=["seed", "traces", "no-self-check"],
+    )
+    def test_removed_options_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestInputGrammar:
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["check-traces", "1_0,2"],
-            ["check-traces", "--traces", "١٢,3"],
+            ["check-traces", "١٢,3"],
             ["synthesize", "2,4_0"],
             ["ghost", "1_0", "--count", "2"],
             ["ghost", "1/2_0", "--count", "2"],

@@ -151,9 +151,6 @@ class TestSynthesize:
         coeffs = char_coeffs_perm([list(row) for row in f.entries])
         assert witness.dim == max((i for i, a in enumerate(coeffs, 1) if a), default=0)
 
-    def test_self_check_can_be_disabled(self):
-        assert synthesize([1, 3], self_check=False).entries == ((0, 1), (1, 1))
-
 
 class TestLemma6:
     def test_fermat_base_case(self):
@@ -267,6 +264,19 @@ class TestExteriorCongruence:
         assert [(r.n, r.lhs, r.rhs, r.modulus) for r in direct.checks] == [
             (r.n, r.lhs, r.rhs, r.modulus) for r in compound.checks
         ]
+
+    @pytest.mark.parametrize("p, k, count", [(2, 1, 5), (2, 2, 10), (3, 2, 20), (2, 3, 15)])
+    def test_compound_route_raises_the_lower_power_to_p(self, monkeypatch, p, k, count):
+        # one power p^(k-1) per compound, then p more: building p^k afresh took 15/30/25
+        from tracewitt import matrices
+
+        products = []
+        mat_mul = matrices.mat_mul
+        monkeypatch.setattr(matrices, "mat_mul", lambda a, b: products.append(1) or mat_mul(a, b))
+        f = random_matrix(5, 3, 29)
+        rows = exterior_via_compound(f, p, k).checks
+        assert len(products) == count
+        assert rows == check_exterior_congruence(f, p, k).checks
 
     def test_top_row_is_determinant(self):
         from .oracles import det_perm

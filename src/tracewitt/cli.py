@@ -20,10 +20,10 @@ from .congruences import (
     CharacterTable,
     CongruenceReport,
     InvalidTraceSequenceError,
+    _require_prime,
     check_character,
     check_trace_sequence,
     exterior_rows,
-    is_prime,
     synthesize,
 )
 from .matrices import IntMatrix, char_poly_coeffs, encode_scalar, parse_decimal, random_matrix, trace_sequence
@@ -32,10 +32,6 @@ from .rng import SplitMix64
 from .witt import ghost_from_witt, witt_from_ghost
 
 OK, MATH_FAIL, INPUT_ERROR = 0, 1, 2
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(parse_decimal(token) for token in text.replace(",", " ").split())
 
 
 def _rational(token: str) -> Scalar:
@@ -47,12 +43,10 @@ def _rational(token: str) -> Scalar:
         return int(q) if q.denominator == 1 else q
 
 
-def _parse_rationals(text: str) -> tuple[Scalar, ...]:
-    return tuple(parse_decimal(token, _rational, "rational") for token in text.replace(",", " ").split())
-
-
-def _sequence_arg(args) -> str:
-    return sys.stdin.read() if args.values == "-" else args.values
+def _sequence(args, convert=int, what: str = "integer") -> tuple:
+    """The comma- or space-separated sequence argument, read from stdin for '-'."""
+    text = sys.stdin.read() if args.values == "-" else args.values
+    return tuple(parse_decimal(token, convert, what) for token in text.replace(",", " ").split())
 
 
 def _load_json(path: str):
@@ -127,14 +121,14 @@ def _emit_report(report: CongruenceReport, args) -> None:
 
 
 def cmd_check_traces(args, parser) -> int:
-    traces = _parse_ints(_sequence_arg(args))
+    traces = _sequence(args)
     report = check_trace_sequence(traces)
     _emit_report(report, args)
     return OK if report.overall else MATH_FAIL
 
 
 def cmd_synthesize(args, parser) -> int:
-    traces = _parse_ints(_sequence_arg(args))
+    traces = _sequence(args)
     try:
         matrix = synthesize(traces)
     except InvalidTraceSequenceError as exc:
@@ -160,7 +154,7 @@ def cmd_charpoly(args, parser) -> int:
 
 
 def cmd_witt(args, parser) -> int:
-    traces = _parse_ints(_sequence_arg(args))
+    traces = _sequence(args)
     _emit_values(witt_from_ghost(traces), args)
     return OK
 
@@ -168,23 +162,20 @@ def cmd_witt(args, parser) -> int:
 def cmd_ghost(args, parser) -> int:
     if args.count < 0:
         parser.error("--count must be non-negative")
-    witt = _parse_rationals(_sequence_arg(args))
+    witt = _sequence(args, _rational, "rational")
     _emit_values(ghost_from_witt(witt, args.count), args)
     return OK
 
 
 def cmd_check_character(args, parser) -> int:
     table = CharacterTable.from_json_dict(_load_json(args.table))
-    report = check_character(table, k_max=args.kmax)
+    report = check_character(table)
     _emit_report(report, args)
     return OK if report.overall else MATH_FAIL
 
 
 def cmd_check_exterior(args, parser) -> int:
-    if args.kmax < 1:
-        parser.error("--kmax must be at least 1")
-    if not is_prime(args.prime):
-        raise ValueError(f"{args.prime} is not prime")
+    _require_prime(args.prime, args.kmax, "--kmax")
     matrix = IntMatrix.from_json_dict(_load_json(args.matrix))
     report = CongruenceReport(
         tuple(exterior_rows(matrix, args.prime, 1, args.kmax)),
@@ -244,12 +235,17 @@ def cmd_fuzz(args, parser) -> int:
     return OK if summary["ok"] else MATH_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse echoes a bad token by repr, up to 10 times as long: cap it
+        super().error(message if len(message) <= 250 else message[:247] + "...")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--no-timestamp", action="store_true", help="omit timestamps from JSON output")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tracewitt",
         description="Decide, synthesize and transform integer trace sequences.",
     )
@@ -278,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     cc = sub.add_parser("check-character", parents=[common], help="check a character table's congruences")
     cc.add_argument("table", help="character table JSON file ('-' for stdin)")
-    cc.add_argument("--kmax", type=int, default=None, help="cap the exponent bound per prime")
     cc.set_defaults(func=cmd_check_character)
 
     ce = sub.add_parser("check-exterior", parents=[common], help="check exterior-power congruences of a matrix")

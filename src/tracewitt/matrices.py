@@ -17,21 +17,15 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .newton import Scalar, _elementary_to_traces, as_integers
+from .newton import Scalar, _elementary_to_traces, as_integers, exact_ints
 from .rng import SplitMix64
 
 # Largest magnitude a JSON consumer with IEEE doubles can hold exactly.
 _JSON_SAFE_INT = (1 << 53) - 1
-
-
-def _as_entry(value: object) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"matrix entries must be plain integers, got {value!r}")
-    return value
 
 
 def encode_int(value: int):
@@ -66,6 +60,23 @@ def decode_int(obj: object) -> int:
     raise ValueError(f"expected an integer or string, got {repr(obj)[:40]}")
 
 
+def decode_object(obj: object, what: str, keys: Iterable) -> list:
+    """The values at ``map(str, keys)`` of the JSON object ``obj``, which must have exactly those keys.
+    The walk stops at the first key missing, so ``keys`` may be a range longer than any input."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object")
+    values = []
+    for key in map(str, keys):
+        if key not in obj:
+            raise ValueError(f"{what} lacks the key {key!r:.40}")
+        values.append(obj[key])
+    if len(values) != len(obj):
+        known = set(map(str, keys))
+        extra = next(key for key in obj if key not in known)
+        raise ValueError(f"{what} has the unknown key {extra!r:.40}")
+    return values
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """An immutable square matrix of integers.
@@ -82,14 +93,15 @@ class IntMatrix:
     def __post_init__(self):
         if self.dim < 0:
             raise ValueError("dimension must be non-negative")
-        rows = tuple(tuple(_as_entry(v) for v in row) for row in self.entries)
+        rows = tuple(map(tuple, self.entries))
         if len(rows) != self.dim or any(len(row) != self.dim for row in rows):
             raise ValueError(f"entries do not form a {self.dim}x{self.dim} square")
+        exact_ints(tuple(chain.from_iterable(rows)))  # positions count in row-major order
         object.__setattr__(self, "entries", rows)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        return cls(len(rows), tuple(tuple(row) for row in rows))
+        return cls(len(rows), rows)
 
     @classmethod
     def identity(cls, dim: int) -> "IntMatrix":
@@ -115,18 +127,10 @@ class IntMatrix:
 
     @classmethod
     def from_json_dict(cls, obj: object) -> "IntMatrix":
-        if not isinstance(obj, dict):
-            raise ValueError("matrix JSON must be an object")
-        unknown = set(obj) - {"dim", "entries"}
-        if unknown:
-            raise ValueError(f"unknown matrix keys: {sorted(unknown)}")
-        if "dim" not in obj or "entries" not in obj:
-            raise ValueError('matrix JSON needs "dim" and "entries"')
-        dim = decode_int(obj["dim"])
-        rows = obj["entries"]
+        dim, rows = decode_object(obj, "matrix JSON", ("dim", "entries"))
         if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
             raise ValueError('"entries" must be a list of rows')
-        return cls(dim, tuple(tuple(decode_int(v) for v in row) for row in rows))
+        return cls(decode_int(dim), [list(map(decode_int, row)) for row in rows])
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -252,8 +256,6 @@ def random_matrix(dim: int, bound: int, seed: int) -> IntMatrix:
     matrix on every platform and Python version.  Entries are drawn in
     row-major order.
     """
-    if dim < 0:
-        raise ValueError("dimension must be non-negative")
     if bound < 1:
         raise ValueError("bound must be at least 1")
     gen = SplitMix64(seed)
@@ -274,4 +276,5 @@ __all__ = [
     "random_matrix",
     "encode_int",
     "decode_int",
+    "decode_object",
 ]

@@ -32,14 +32,24 @@ from typing import Sequence, Union
 Scalar = Union[int, Fraction]
 
 
+def _exact(values: Sequence[object], kinds: tuple[type, ...], what: str) -> Sequence:
+    if not set(kinds).issuperset(map(type, values)):  # else admit subclasses, but never bool
+        for pos, value in enumerate(values, start=1):
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"entry {pos} must be {what}, got {value!r:.40}")
+    return values
+
+
 def exact_entries(values: Sequence[object]) -> Sequence[Scalar]:
     """``values``, once each entry is checked to be an int (not a bool) or a Fraction;
     anything else, a float above all, raises ValueError naming its 1-based position."""
-    if not {int, Fraction}.issuperset(map(type, values)):
-        for pos, value in enumerate(values, start=1):
-            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-                raise ValueError(f"entry {pos} must be an int or a Fraction, got {value!r:.40}")
-    return values
+    return _exact(values, (int, Fraction), "an int or a Fraction")
+
+
+def exact_ints(values: Sequence[object]) -> Sequence[int]:
+    """``values``, once each entry is checked to be an int (not a bool); anything
+    else, a Fraction or a float too, raises ValueError naming its 1-based position."""
+    return _exact(values, (int,), "an int")
 
 
 def traces_to_elementary(traces: Sequence[Scalar]) -> tuple[Fraction, ...]:
@@ -118,18 +128,15 @@ def _elementary_to_traces(coeffs: Sequence[Scalar], n_max: int) -> tuple[Scalar,
 def integrality_check(values: Sequence[Scalar]) -> list[int]:
     """Return the 1-based positions whose value is not an integer.
 
-    An empty list means every entry has denominator 1.
+    An empty list means every entry has denominator 1.  Entries must be
+    ints or Fractions (:func:`exact_entries`).
 
     >>> integrality_check([Fraction(1), Fraction(-1)])
     []
     >>> integrality_check([Fraction(0), Fraction(-1, 2)])
     [2]
     """
-    bad = []
-    for pos, value in enumerate(values, start=1):
-        if Fraction(value).denominator != 1:
-            bad.append(pos)
-    return bad
+    return [pos for pos, value in enumerate(exact_entries(values), start=1) if value.denominator != 1]
 
 
 def as_integers(values: Sequence[Scalar]) -> tuple[int, ...]:

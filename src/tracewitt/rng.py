@@ -37,12 +37,15 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
-        """Uniform integer in ``[0, n)``, bias-free via rejection."""
+        """Uniform integer in ``[0, n)``, bias-free via rejection over enough 64-bit outputs."""
         if n <= 0:
             raise ValueError("n must be positive")
-        threshold = (1 << 64) - ((1 << 64) % n)
+        words = max(1, -(-(n - 1).bit_length() // 64))
+        threshold = (1 << 64 * words) - (1 << 64 * words) % n
         while True:
-            u = self.next_u64()
+            u = 0
+            for _ in range(words):
+                u = u << 64 | self.next_u64()
             if u < threshold:
                 return u % n
 

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -149,19 +150,35 @@ class TestCharacterCommand:
         assert report["policy"]["kind"] == "character"
         assert "k_bounds" in report["policy"]
 
-    def test_kmax_cap(self, tmp_path):
-        path = tmp_path / "table.json"
-        path.write_text(json.dumps({"order": 2, "values": {"0": 1, "1": 1}}))
-        proc = run_cli("check-character", str(path), "--kmax", "1", "--format", "json", "--no-timestamp")
-        report = json.loads(proc.stdout)
-        assert all(c["k"] == 1 for c in report["checks"])
+    def test_table_that_fails_only_past_k_1_exits_one(self, capsys, monkeypatch):
+        table = {"order": 4, "values": {"0": 3, "1": 1, "2": 1, "3": 1}}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(table)))
+        assert main(["check-character", "-"]) == 1
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if "FAIL" in line] == [
+            " 4  2^2    3    1     2     FAIL",
+            "overall: FAIL (1 of 8 checks)",
+        ]
 
-    def test_zero_kmax_rejected(self, tmp_path):
-        path = tmp_path / "table.json"
-        path.write_text(json.dumps({"order": 2, "values": {"0": 2, "1": 1}}))
-        proc = run_cli("check-character", str(path), "--kmax", "0")
-        assert proc.returncode == 2
-        assert "PASS" not in proc.stdout
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ({"order": 1, "values": {"0": 1}, "junk": 0}, "character table JSON has the unknown key 'junk'"),
+            ({"order": 1, "values": {"0": 1, "1": 1}}, """character table "values" has the unknown key '1'"""),
+        ],
+        ids=["top-level", "residue"],
+    )
+    def test_unknown_key_exits_two(self, capsys, monkeypatch, table, message):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(table)))
+        assert main(["check-character", "-"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_huge_order_exits_two_at_once(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"order": 10**12, "values": {"0": 1}})))
+        start = time.perf_counter()
+        assert main(["check-character", "-"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == """error: character table "values" lacks the key '1'\n"""
 
 
 class TestExteriorCommand:
@@ -328,7 +345,7 @@ class TestParserSurface:
         "ghost": ("format", "no_timestamp", "values", "count"),
         "traces": ("format", "no_timestamp", "matrix", "count"),
         "charpoly": ("format", "no_timestamp", "matrix"),
-        "check-character": ("format", "no_timestamp", "table", "kmax"),
+        "check-character": ("format", "no_timestamp", "table"),
         "check-exterior": ("format", "no_timestamp", "matrix", "prime", "kmax"),
         "fuzz": ("format", "no_timestamp", "seed", "trials", "dim", "entry_bound"),
     }
@@ -341,7 +358,7 @@ class TestParserSurface:
             for name, command in sub.choices.items()
         }
         assert got == self.DESTS
-        assert sum(map(len, got.values())) == 35
+        assert sum(map(len, got.values())) == 34
 
     @pytest.mark.parametrize(
         "argv",
@@ -349,8 +366,9 @@ class TestParserSurface:
             ["check-traces", "1,3", "--seed", "1"],
             ["check-traces", "--traces", "1,3"],
             ["synthesize", "1,3", "--no-self-check"],
+            ["check-character", "-", "--kmax", "1"],
         ],
-        ids=["seed", "traces", "no-self-check"],
+        ids=["seed", "traces", "no-self-check", "character-kmax"],
     )
     def test_removed_options_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """Congruence checkers against brute-force and cross-path oracles."""
 
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -352,22 +353,22 @@ class TestCheckCharacter:
     def test_policy_records_bounds(self):
         report = check_character(regular_table(6))
         assert report.policy["kind"] == "character"
-        assert report.policy["mode"] == "auto"
         assert set(report.policy["k_bounds"]) == {"2", "3", "5"}
         for m in range(1, 61):
-            for k_max in (None, 2):
-                bounds = check_character(regular_table(m), k_max).policy["k_bounds"]
-                assert list(bounds) == [str(p) for p in sieve_primes(m)]
+            bounds = check_character(regular_table(m)).policy["k_bounds"]
+            assert list(bounds) == [str(p) for p in sieve_primes(m)]
 
-    def test_cap_mode(self):
-        report = check_character(regular_table(6), k_max=1)
-        assert report.policy["mode"] == "cap"
-        assert all(r.k == 1 for r in report.checks)
+    def test_non_character_fails_past_the_first_power(self):
+        # every k = 1 row passes; n = 4 compares chi(g^0) = 3 with chi(g^2) = 1 mod 4
+        report = check_character(CharacterTable(4, (3, 1, 1, 1)))
+        assert not report.overall
+        assert [(r.n, r.p, r.k, r.lhs, r.rhs) for r in report.failures()] == [(4, 2, 2, 3, 1)]
+        assert all(r.passed for r in report.checks if r.k == 1)
 
-    def test_zero_cap_rejected(self):
-        # a cap of 0 would check no rows and pass a corrupted table
-        with pytest.raises(ValueError):
-            check_character(CharacterTable(2, (2, 1)), k_max=0)
+    @pytest.mark.parametrize("bad", [Fraction(0), 0.0, False], ids=["fraction", "float", "bool"])
+    def test_table_names_a_bad_value_by_position(self, bad):
+        with pytest.raises(ValueError, match=rf"^entry 2 must be an int, got {re.escape(repr(bad))}$"):
+            CharacterTable(3, (3, bad, 0))
 
     def test_order_one_vacuous(self):
         assert check_character(CharacterTable(1, (7,))).overall
@@ -484,7 +485,7 @@ def test_trace_report_renders_as_json(b):
     ],
 )
 def test_float_and_bool_traces_rejected(call):
-    with pytest.raises(ValueError, match="must be an int or a Fraction"):
+    with pytest.raises(ValueError, match=r"^entry \d+ must be an int, got (0\.5|3\.0|True)$"):
         call()
 
 

@@ -1,5 +1,6 @@
 """Exact matrix arithmetic against naive reference implementations."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,17 @@ class TestConstruction:
     def test_rejects_dim_mismatch(self):
         with pytest.raises(ValueError):
             IntMatrix(3, ((1, 2), (3, 4)))
+
+    @pytest.mark.parametrize("bad", [Fraction(3), 3.0, True], ids=["fraction", "float", "bool"])
+    def test_names_a_bad_entry_by_row_major_position(self, bad):
+        with pytest.raises(ValueError, match=rf"^entry 3 must be an int, got {re.escape(repr(bad))}$"):
+            IntMatrix.from_rows([[1, 2], [bad, 4]])
+
+    def test_int_subclass_entries_accepted(self):
+        class Tagged(int):
+            pass
+
+        assert IntMatrix.from_rows([[Tagged(2), 0], [0, 1]]).trace() == 3
 
     def test_empty_matrix(self):
         assert IntMatrix.from_rows([]).dim == 0
@@ -209,6 +221,13 @@ class TestCompanion:
     def test_empty_coeffs_give_empty_matrix(self):
         assert companion_matrix(()).dim == 0
 
+    @pytest.mark.parametrize(
+        "coeffs, pos", [([1, 2.0], 2), ([True, 1], 1), (["3", 2], 1), (["3", 2.0, True], 1)]
+    )
+    def test_rejects_floats_bools_and_strings(self, coeffs, pos):
+        with pytest.raises(ValueError, match=f"^entry {pos} must be an int or a Fraction, got "):
+            companion_matrix(coeffs)
+
 
 class TestRandomMatrix:
     def test_deterministic(self):
@@ -253,6 +272,17 @@ class TestSplitMix:
         values = [rng.integer(-3, 3) for _ in range(500)]
         assert set(values) == set(range(-3, 4))
 
+    @pytest.mark.parametrize("n, words", [(3, 1), (2**64, 1), (2**64 + 1, 2), (10**40, 3)])
+    def test_below_takes_enough_words(self, n, words):
+        # one 64-bit output cannot cover a range above 2^64: rejection used to loop forever
+        rng, raw = SplitMix64(5), SplitMix64(5)
+        value = rng.below(n)
+        u = 0
+        for _ in range(words):
+            u = u << 64 | raw.next_u64()
+        assert value == u % n  # the seed's first draw is accepted
+        assert rng.next_u64() == raw.next_u64()
+
 
 class TestJson:
     def test_round_trip(self):
@@ -271,12 +301,16 @@ class TestJson:
         assert payload["entries"][0][0] == 5
 
     def test_rejects_unknown_keys(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^matrix JSON has the unknown key 'extra'$"):
             IntMatrix.from_json_dict({"dim": 1, "entries": [[1]], "extra": 0})
 
     def test_rejects_missing_keys(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^matrix JSON lacks the key 'entries'$"):
             IntMatrix.from_json_dict({"dim": 1})
+
+    def test_rejects_non_objects(self):
+        with pytest.raises(ValueError, match="^matrix JSON must be an object$"):
+            IntMatrix.from_json_dict([[1]])
 
     def test_rejects_float_entry(self):
         with pytest.raises(ValueError):

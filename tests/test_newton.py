@@ -74,6 +74,14 @@ def test_integrality_check_positions():
     assert integrality_check(()) == []
 
 
+@pytest.mark.parametrize("values", [[1.0], [1, True], [1, "1/2"], [1.0, "1/2", True]])
+def test_integrality_check_refuses_floats_bools_and_strings(values):
+    with pytest.raises(ValueError, match="must be an int or a Fraction, got "):
+        integrality_check(values)
+    with pytest.raises(ValueError, match="must be an int or a Fraction, got "):
+        as_integers(values)
+
+
 def test_as_integers_accepts_integral_fractions():
     assert as_integers((Fraction(4, 2), 3)) == (2, 3)
 

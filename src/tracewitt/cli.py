@@ -26,7 +26,7 @@ from .congruences import (
     exterior_rows,
     synthesize,
 )
-from .matrices import IntMatrix, char_poly_coeffs, encode_scalar, parse_decimal, random_matrix, trace_sequence
+from .matrices import IntMatrix, char_poly_coeffs, encode_scalar, parse_decimals, random_matrix, trace_sequence
 from .newton import Scalar
 from .rng import SplitMix64
 from .witt import ghost_from_witt, witt_from_ghost
@@ -46,7 +46,7 @@ def _rational(token: str) -> Scalar:
 def _sequence(args, convert=int, what: str = "integer") -> tuple:
     """The comma- or space-separated sequence argument, read from stdin for '-'."""
     text = sys.stdin.read() if args.values == "-" else args.values
-    return tuple(parse_decimal(token, convert, what) for token in text.replace(",", " ").split())
+    return parse_decimals(text.replace(",", " ").split(), convert, what)
 
 
 def _load_json(path: str):
@@ -84,27 +84,20 @@ def _policy_text(policy: dict) -> str:
 
 
 def _report_text(report: CongruenceReport) -> str:
-    kind = report.policy.get("kind", "")
-    if kind == "trace-sequence":
-        headers = ("n", "p^k", "b_n", "b_{n/p}", "diff", "verdict")
-    else:
-        headers = ("n", "p^k", "lhs", "rhs", "diff", "verdict")
-    table = [headers]
-    for row in report.checks:
-        table.append(
-            (
-                str(row.n),
-                f"{row.p}^{row.k}",
-                str(row.lhs),
-                str(row.rhs),
-                str(row.lhs - row.rhs),
-                "PASS" if row.passed else "FAIL",
-            )
-        )
-    widths = [max(len(line[col]) for line in table) for col in range(len(headers))]
-    lines = ["  ".join(cell.rjust(w) for cell, w in zip(line, widths)) for line in table]
-    failed = len(report.failures())
-    verdict = "PASS" if report.overall else f"FAIL ({failed} of {len(report.checks)} checks)"
+    rows = report.checks
+    lhs, rhs = ("b_n", "b_{n/p}") if report.policy.get("kind") == "trace-sequence" else ("lhs", "rhs")
+    columns = [
+        ["n", *(str(row.n) for row in rows)],
+        ["p^k", *(f"{row.p}^{row.k}" for row in rows)],
+        [lhs, *(str(row.lhs) for row in rows)],
+        [rhs, *(str(row.rhs) for row in rows)],
+        ["diff", *(str(row.lhs - row.rhs) for row in rows)],
+        ["verdict", *("PASS" if row.passed else "FAIL" for row in rows)],
+    ]
+    line = "  ".join(f"{{:>{max(map(len, column))}}}" for column in columns)
+    lines = list(map(line.format, *columns))
+    failed = columns[5].count("FAIL")
+    verdict = f"FAIL ({failed} of {len(rows)} checks)" if failed else "PASS"
     lines.append(f"overall: {verdict}")
     if report.policy:
         lines.append(f"policy: {_policy_text(report.policy)}")
@@ -254,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     def sequence_command(name, func, help_text):
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.add_argument("values", help="comma-separated values ('-' for stdin)")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
         return p
 
     sequence_command("check-traces", cmd_check_traces, "check the trace-sequence congruences")
@@ -266,28 +259,28 @@ def build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("traces", parents=[common], help="traces of powers of a matrix")
     tr.add_argument("matrix", help="matrix JSON file ('-' for stdin)")
     tr.add_argument("--count", type=int, required=True, help="number of traces to produce")
-    tr.set_defaults(func=cmd_traces)
+    tr.set_defaults(func=cmd_traces, parser=tr)
 
     cp = sub.add_parser("charpoly", parents=[common], help="characteristic coefficients of det(1+tf)")
     cp.add_argument("matrix", help="matrix JSON file ('-' for stdin)")
-    cp.set_defaults(func=cmd_charpoly)
+    cp.set_defaults(func=cmd_charpoly, parser=cp)
 
     cc = sub.add_parser("check-character", parents=[common], help="check a character table's congruences")
     cc.add_argument("table", help="character table JSON file ('-' for stdin)")
-    cc.set_defaults(func=cmd_check_character)
+    cc.set_defaults(func=cmd_check_character, parser=cc)
 
     ce = sub.add_parser("check-exterior", parents=[common], help="check exterior-power congruences of a matrix")
     ce.add_argument("matrix", help="matrix JSON file ('-' for stdin)")
     ce.add_argument("--prime", type=int, required=True)
     ce.add_argument("--kmax", type=int, default=1)
-    ce.set_defaults(func=cmd_check_exterior)
+    ce.set_defaults(func=cmd_check_exterior, parser=ce)
 
     fz = sub.add_parser("fuzz", parents=[common], help="random-matrix oracle run")
     fz.add_argument("--seed", type=int, default=0, help="PRNG seed for randomized commands")
     fz.add_argument("--trials", type=int, default=100)
     fz.add_argument("--dim", type=int, default=4)
     fz.add_argument("--entry-bound", type=int, default=3)
-    fz.set_defaults(func=cmd_fuzz)
+    fz.set_defaults(func=cmd_fuzz, parser=fz)
 
     return parser
 
@@ -309,7 +302,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if saved_limit:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)  # a value error shows the subcommand's usage
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

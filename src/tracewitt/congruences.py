@@ -109,8 +109,15 @@ class CongruenceRow:
 
 
 def _row(n: int, p: int, k: int, lhs: int, rhs: int) -> CongruenceRow:
+    """The row checking ``lhs == rhs (mod p**k)``.  Its fields are set in one call,
+    not by the frozen ``__init__``'s seven."""
     modulus = p**k
-    return CongruenceRow(n, p, k, lhs, rhs, modulus, (lhs - rhs) % modulus == 0)
+    passed = (lhs - rhs) % modulus == 0
+    row = object.__new__(CongruenceRow)
+    object.__setattr__(
+        row, "__dict__", {"n": n, "p": p, "k": k, "lhs": lhs, "rhs": rhs, "modulus": modulus, "passed": passed}
+    )
+    return row
 
 
 @dataclass(frozen=True)

@@ -35,18 +35,30 @@ def encode_int(value: int):
 
 def encode_scalar(value: Scalar):
     """JSON-encode an int or Fraction: :func:`encode_int` if integral, else ``"p/q"``."""
+    if type(value) is int:  # exact ints only: a bool still encodes as 0 or 1, not as true or false
+        return encode_int(value)
     q = Fraction(value)
     return encode_int(int(q)) if q.denominator == 1 else str(q)
 
 
-def parse_decimal(token: str, convert: Callable[[str], object] = int, what: str = "integer"):
-    """``convert(token)`` for plain decimal text: ``int`` and ``Fraction``
-    alone also take ``"1_0"`` for 10 and non-ASCII digits.  A bad token
+def parse_decimals(
+    tokens: Sequence[str], convert: Callable[[str], object] = int, what: str = "integer"
+) -> tuple:
+    """``convert`` of each token, for plain decimal text: ``int`` and ``Fraction``
+    alone also take ``"1_0"`` for 10 and non-ASCII digits.  The first bad token
     raises ValueError naming ``what`` and echoing at most 40 characters."""
+    text = "".join(tokens)
     with suppress(ValueError, ZeroDivisionError):
-        if "_" not in token and token.isascii():
-            return convert(token)
-    raise ValueError(f"invalid {what} {token[:40]!r}")
+        if "_" not in text and text.isascii():  # one test for all the tokens
+            return tuple(map(convert, tokens))
+    if len(tokens) != 1:
+        return tuple(parse_decimal(token, convert, what) for token in tokens)  # stops at the bad one
+    raise ValueError(f"invalid {what} {text[:40]!r}")
+
+
+def parse_decimal(token: str, convert: Callable[[str], object] = int, what: str = "integer"):
+    """:func:`parse_decimals` of one token."""
+    return parse_decimals((token,), convert, what)[0]
 
 
 def decode_int(obj: object) -> int:

@@ -168,6 +168,83 @@ def character_violations(order: int, values: list[int], primes: list[int], k_max
     return bad
 
 
+JSON_SAFE_INT = 2**53 - 1
+
+
+def json_int(value: int):
+    """An integer as JSON would hold it exactly: a literal within 2^53 - 1, else a string."""
+    return value if -JSON_SAFE_INT <= value <= JSON_SAFE_INT else str(value)
+
+
+def json_scalar(value):
+    """An int or Fraction through Fraction: json_int when integral, else "p/q"."""
+    q = Fraction(value)
+    return json_int(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def report_json_by_rows(report) -> dict:
+    """A congruence report's JSON object, each row encoded on its own."""
+    out = {
+        "overall": all(row.passed for row in report.checks),
+        "checks": [
+            {
+                "n": json_int(row.n),
+                "p": row.p,
+                "k": row.k,
+                "lhs": json_int(row.lhs),
+                "rhs": json_int(row.rhs),
+                "modulus": json_int(row.modulus),
+                "pass": row.passed,
+            }
+            for row in report.checks
+        ],
+        "policy": dict(report.policy),
+    }
+    if report.witness is not None:
+        out["witness"] = [json_scalar(x) for x in report.witness]
+    return out
+
+
+def report_text_by_rows(report) -> str:
+    """A congruence report's text table, built row by row: every cell converted
+    where it appears, each column right-aligned to its widest cell."""
+    if report.policy.get("kind") == "trace-sequence":
+        table = [("n", "p^k", "b_n", "b_{n/p}", "diff", "verdict")]
+    else:
+        table = [("n", "p^k", "lhs", "rhs", "diff", "verdict")]
+    for row in report.checks:
+        verdict = "PASS" if row.passed else "FAIL"
+        table.append((str(row.n), f"{row.p}^{row.k}", str(row.lhs), str(row.rhs), str(row.lhs - row.rhs), verdict))
+    widths = [max(len(line[col]) for line in table) for col in range(6)]
+    lines = ["  ".join(cell.rjust(w) for cell, w in zip(line, widths)) for line in table]
+    failed = sum(1 for row in report.checks if not row.passed)
+    lines.append("overall: " + (f"FAIL ({failed} of {len(report.checks)} checks)" if failed else "PASS"))
+    if report.policy:
+        parts = []
+        for key, value in report.policy.items():
+            if isinstance(value, dict):
+                value = "{" + ",".join(f"{k}:{v}" for k, v in value.items()) + "}"
+            parts.append(f"{key}={value}")
+        lines.append("policy: " + " ".join(parts))
+    if report.witness is not None:
+        lines.append("witness: " + ",".join(map(str, report.witness)))
+    return "\n".join(lines)
+
+
+def parse_token_by_token(tokens, convert=int, what: str = "integer") -> tuple:
+    """Plain decimal tokens, each tested on its own: no "_", ASCII only, and
+    ``convert`` must take it.  The first bad token raises ValueError."""
+    out = []
+    for token in tokens:
+        try:
+            if "_" in token or not token.isascii():
+                raise ValueError
+            out.append(convert(token))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"invalid {what} {token[:40]!r}") from None
+    return tuple(out)
+
+
 def fib(n: int) -> int:
     a, b = 0, 1
     for _ in range(n):

@@ -377,6 +377,28 @@ class TestParserSurface:
         assert capsys.readouterr().out == ""
 
 
+class TestSubcommandValueErrors:
+    """A bad option value fails through its own subcommand's parser, like a bad option."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["ghost", "1", "--count", "-1"], "--count must be non-negative"),
+            (["traces", "-", "--count", "-1"], "--count must be non-negative"),
+            (["fuzz", "--dim", "-1"], "--dim must be non-negative"),
+        ],
+        ids=["ghost", "traces", "fuzz"],
+    )
+    def test_usage_and_error_name_the_subcommand(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: tracewitt {argv[0]} [-h] ")
+        assert captured.err.endswith(f"\ntracewitt {argv[0]}: error: {message}\n")
+
+
 class TestInputGrammar:
     @pytest.mark.parametrize(
         "argv",

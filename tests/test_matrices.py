@@ -21,9 +21,17 @@ from tracewitt import (
     traces_to_elementary,
 )
 from tracewitt import matrices
-from tracewitt.matrices import decode_int, encode_int, encode_scalar
+from tracewitt.matrices import decode_int, encode_int, encode_scalar, parse_decimal, parse_decimals
 
-from .oracles import char_coeffs_perm, compound_perm, det_perm, naive_mul, naive_pow, naive_trace
+from .oracles import (
+    char_coeffs_perm,
+    compound_perm,
+    det_perm,
+    naive_mul,
+    naive_pow,
+    naive_trace,
+    parse_token_by_token,
+)
 
 ENTRY = st.integers(min_value=-9, max_value=9)
 
@@ -335,3 +343,30 @@ class TestJson:
             decode_int(True)
         with pytest.raises(ValueError):
             decode_int(2.0)
+
+
+DECIMAL_TOKEN = st.one_of(
+    st.integers(-(10**45), 10**45).map(str),
+    st.sampled_from(["1_0", "١٢", "１", "+3", "-0", "1/0", "2/4", "-6/3", ".5", "x", "", "\x00" * 41]),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(DECIMAL_TOKEN, max_size=6), st.sampled_from([int, Fraction]))
+def test_parse_decimals_matches_token_by_token(tokens, convert):
+    """One guard for all the tokens gives the values, and the error naming the
+    first bad token, that testing each token on its own gives."""
+    try:
+        want = parse_token_by_token(tokens, convert, "number")
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            parse_decimals(tokens, convert, "number")
+        assert str(got.value) == str(exc)
+        if len(tokens) == 1:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                parse_decimal(tokens[0], convert, "number")
+    else:
+        got = parse_decimals(tokens, convert, "number")
+        assert got == want and list(map(type, got)) == list(map(type, want))
+        if len(tokens) == 1:
+            assert parse_decimal(tokens[0], convert, "number") == want[0]

@@ -1,0 +1,126 @@
+"""Report writers and rows: the fast builders against row-by-row oracles."""
+
+import dataclasses
+import io
+import json
+import pickle
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tracewitt import (
+    CharacterTable,
+    InvalidTraceSequenceError,
+    check_character,
+    check_matrix_congruences,
+    check_trace_sequence,
+    random_matrix,
+    synthesize,
+    trace_sequence,
+)
+from tracewitt.cli import _report_text, main
+from tracewitt.congruences import CongruenceReport, CongruenceRow, _row, exterior_rows
+from tracewitt.matrices import encode_scalar
+
+from .oracles import json_scalar, report_json_by_rows, report_text_by_rows
+
+BIG = 2**53
+
+
+def assert_writers_match(report: CongruenceReport) -> None:
+    assert _report_text(report) == report_text_by_rows(report)
+    got, want = report.to_json_dict(), report_json_by_rows(report)
+    assert got == want
+    assert json.dumps(got, separators=(",", ":")) == json.dumps(want, separators=(",", ":"))
+
+
+@st.composite
+def trace_sequences(draw):
+    """Traces of a small random matrix, cut to 0..30 terms, scaled (possibly
+    negative, possibly past 2^53) and, half the time, with one entry bumped."""
+    dim = draw(st.integers(0, 4))
+    seed = draw(st.integers(0, 2**32))
+    length = draw(st.one_of(st.integers(0, 3), st.integers(4, 30)))
+    scale = draw(st.sampled_from([1, -1, 3, -BIG - 5, 2**70 + 1]))
+    traces = [scale * b for b in trace_sequence(random_matrix(dim, 3, seed), length)]
+    if traces and draw(st.booleans()):
+        spot = draw(st.integers(0, len(traces) - 1))
+        traces[spot] += draw(st.sampled_from([1, -1, BIG]))
+    return traces
+
+
+class TestReportWriters:
+    @settings(deadline=None, max_examples=150)
+    @given(trace_sequences(), st.booleans())
+    def test_trace_reports(self, traces, with_witness):
+        assert_writers_match(check_trace_sequence(traces, with_witness=with_witness))
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 12), st.lists(st.integers(-(2**60), 2**60), min_size=12, max_size=12))
+    def test_character_reports(self, order, values):
+        report = check_character(CharacterTable(order, tuple(values[:order])))
+        assert_writers_match(report)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 4), st.integers(0, 2**32), st.sampled_from([2, 3, 5]), st.integers(1, 3))
+    def test_matrix_and_exterior_reports(self, dim, seed, p, k):
+        f = random_matrix(dim, 4, seed)
+        assert_writers_match(check_matrix_congruences(f, p, k))
+        policy = {"kind": "exterior-power", "p": p, "k_max": k, "dim": dim}
+        assert_writers_match(CongruenceReport(tuple(exterior_rows(f, p, 1, k)), policy))
+
+    def test_synthesize_failure_report_carries_its_witness(self):
+        with pytest.raises(InvalidTraceSequenceError) as exc:
+            synthesize([1, 3, 5, 7, BIG])
+        assert exc.value.report.witness is not None
+        assert_writers_match(exc.value.report)
+
+    def test_empty_and_policy_free_reports(self):
+        assert_writers_match(CongruenceReport(()))
+        assert_writers_match(check_trace_sequence([]))
+        assert_writers_match(CongruenceReport((_row(2, 2, 1, 1, 0),), {}, (Fraction(1, 2), 3)))
+
+    @pytest.mark.parametrize("traces", [[1, 3, 4, 7], [0, 1, -BIG, 2**80]])
+    def test_cli_bytes(self, capsys, monkeypatch, traces):
+        report = check_trace_sequence(traces)
+        text = ",".join(map(str, traces))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        main(["check-traces", "-"])
+        assert capsys.readouterr().out == report_text_by_rows(report) + "\n"
+        main(["check-traces", text, "--format", "json", "--no-timestamp"])
+        want = json.dumps(report_json_by_rows(report), separators=(",", ":"))
+        assert capsys.readouterr().out == want + "\n"
+
+
+class TestRow:
+    ARGS = (12, 2, 2, BIG + 1, -(2**70), 4)
+
+    def test_fast_row_equals_constructed_row(self):
+        n, p, k, lhs, rhs, modulus = self.ARGS
+        fast = _row(n, p, k, lhs, rhs)
+        slow = CongruenceRow(n, p, k, lhs, rhs, modulus, (lhs - rhs) % modulus == 0)
+        assert fast == slow and hash(fast) == hash(slow) and repr(fast) == repr(slow)
+        assert vars(fast) == vars(slow)
+        for row in (fast, slow):
+            assert pickle.loads(pickle.dumps(row)) == row
+            assert dataclasses.replace(row, lhs=lhs + 1) == CongruenceRow(n, p, k, lhs + 1, rhs, modulus, False)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                row.lhs = 0
+        assert dataclasses.is_dataclass(fast) and dataclasses.astuple(fast) == dataclasses.astuple(slow)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.one_of(
+        st.integers(),
+        st.integers(-(2**54), 2**54),
+        st.sampled_from([0, BIG - 1, BIG, -BIG + 1, -BIG, True, False]),
+        st.fractions(),
+        st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**80)),
+    )
+)
+def test_encode_scalar_bytes(value):
+    assert json.dumps(encode_scalar(value)) == json.dumps(json_scalar(value))

@@ -8,79 +8,17 @@ traces, characteristic coefficients, Witt coordinates and ghost components,
 and verifies the matching congruences for matrix powers, exterior powers
 and integer-valued character tables.  All arithmetic is exact (Python ints
 and fractions); nothing here floats.
+
+Each module's ``__all__`` is its public API, and the package re-exports them.
 """
 
-from .congruences import (
-    CharacterTable,
-    CongruenceReport,
-    CongruenceRow,
-    InvalidTraceSequenceError,
-    PrimePower,
-    character_check_bound,
-    check_character,
-    check_exterior_congruence,
-    check_matrix_congruences,
-    check_trace_sequence,
-    exterior_via_compound,
-    is_prime,
-    lemma6_verify,
-    prime_power_split,
-    synthesize,
-)
-from .matrices import (
-    IntMatrix,
-    char_poly_coeffs,
-    companion_matrix,
-    compound_matrix,
-    mat_mul,
-    mat_pow,
-    random_matrix,
-    trace_sequence,
-)
-from .newton import elementary_to_traces, integrality_check, traces_to_elementary
-from .rng import SplitMix64
-from .witt import (
-    coeffs_to_witt,
-    divisors,
-    ghost_from_witt,
-    witt_from_ghost,
-    witt_to_coeffs,
-)
+from . import congruences, matrices, newton, rng, witt
+from .congruences import *
+from .matrices import *
+from .newton import *
+from .rng import *
+from .witt import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CharacterTable",
-    "CongruenceReport",
-    "CongruenceRow",
-    "IntMatrix",
-    "InvalidTraceSequenceError",
-    "PrimePower",
-    "SplitMix64",
-    "__version__",
-    "char_poly_coeffs",
-    "character_check_bound",
-    "check_character",
-    "check_exterior_congruence",
-    "check_matrix_congruences",
-    "check_trace_sequence",
-    "coeffs_to_witt",
-    "companion_matrix",
-    "compound_matrix",
-    "divisors",
-    "elementary_to_traces",
-    "exterior_via_compound",
-    "ghost_from_witt",
-    "integrality_check",
-    "is_prime",
-    "lemma6_verify",
-    "mat_mul",
-    "mat_pow",
-    "prime_power_split",
-    "random_matrix",
-    "synthesize",
-    "trace_sequence",
-    "traces_to_elementary",
-    "witt_from_ghost",
-    "witt_to_coeffs",
-]
+__all__ = ["__version__", *congruences.__all__, *matrices.__all__, *newton.__all__, *rng.__all__, *witt.__all__]

@@ -96,8 +96,7 @@ def _report_text(report: CongruenceReport) -> str:
     ]
     line = "  ".join(f"{{:>{max(map(len, column))}}}" for column in columns)
     lines = list(map(line.format, *columns))
-    failed = columns[5].count("FAIL")
-    verdict = f"FAIL ({failed} of {len(rows)} checks)" if failed else "PASS"
+    verdict = "PASS" if report.overall else f"FAIL ({columns[5].count('FAIL')} of {len(rows)} checks)"
     lines.append(f"overall: {verdict}")
     if report.policy:
         lines.append(f"policy: {_policy_text(report.policy)}")
@@ -168,7 +167,10 @@ def cmd_check_character(args, parser) -> int:
 
 
 def cmd_check_exterior(args, parser) -> int:
-    _require_prime(args.prime, args.kmax, "--kmax")
+    try:
+        _require_prime(args.prime, args.kmax, "--kmax")
+    except ValueError as exc:
+        parser.error(str(exc))
     matrix = IntMatrix.from_json_dict(_load_json(args.matrix))
     report = CongruenceReport(
         tuple(exterior_rows(matrix, args.prime, 1, args.kmax)),

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, repeat
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -39,9 +40,23 @@ from .newton import _elementary_to_traces, _traces_to_elementary, exact_ints, in
 from .witt import _witt, smallest_prime_factor, smallest_prime_factors
 
 
+_SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality (inputs here are small)."""
-    return n >= 2 and smallest_prime_factor(n) == n
+    """Deterministic primality.  Below 3317044064679887385961981, the least strong
+    pseudoprime to the prime bases 2..41, strong probable-prime tests to those bases
+    decide it (Sorenson and Webster, Math. Comp. 86, 2017); trial division above."""
+    if n >= 3317044064679887385961981:
+        return smallest_prime_factor(n) == n
+    if n < 2 or any(n % a == 0 for a in _SPRP_BASES):
+        return n in _SPRP_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for a in _SPRP_BASES:  # a^d is 1, or one of a^d, a^(2d), ..., a^(2^(s-1)*d) is -1 (mod n)
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and n - 1 not in accumulate(repeat(n, s - 1), lambda y, m: y * y % m, initial=x):
+            return False
+    return True
 
 
 def _require_prime(p: int, k: int, name: str = "k") -> None:
@@ -128,8 +143,9 @@ class CongruenceReport:
     policy: dict = field(default_factory=dict)
     witness: tuple[Fraction, ...] | None = None
 
-    @property
+    @cached_property
     def overall(self) -> bool:
+        """Whether every row passed, worked out on the first read."""
         return all(row.passed for row in self.checks)
 
     def failures(self) -> tuple[CongruenceRow, ...]:
@@ -151,10 +167,9 @@ class InvalidTraceSequenceError(Exception):
 
     def __init__(self, report: CongruenceReport):
         self.report = report
-        rows = ", ".join(
-            f"(n={r.n}, p={r.p}, k={r.k})" for r in report.failures()
-        )
-        super().__init__(f"not a trace sequence; failing congruences: {rows}")
+        failed = report.failures()
+        first = f", first at (n={failed[0].n}, p={failed[0].p}, k={failed[0].k})" if failed else ""
+        super().__init__(f"not a trace sequence: {len(failed)} of {len(report.checks)} congruences fail{first}")
 
 
 def check_trace_sequence(

@@ -286,7 +286,4 @@ __all__ = [
     "compound_matrix",
     "companion_matrix",
     "random_matrix",
-    "encode_int",
-    "decode_int",
-    "decode_object",
 ]

@@ -145,3 +145,6 @@ def as_integers(values: Sequence[Scalar]) -> tuple[int, ...]:
     if bad:
         raise ValueError(f"non-integer values at positions {bad}")
     return tuple(int(v) for v in values)
+
+
+__all__ = ["traces_to_elementary", "elementary_to_traces", "integrality_check"]

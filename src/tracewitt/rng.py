@@ -54,3 +54,6 @@ class SplitMix64:
         if hi < lo:
             raise ValueError("empty range")
         return lo + self.below(hi - lo + 1)
+
+
+__all__ = ["SplitMix64"]

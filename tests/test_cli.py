@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from tracewitt.cli import _parser, build_parser, main, run_fuzz
+from tracewitt import check_trace_sequence
+from tracewitt.cli import _parser, _report_text, build_parser, main, run_fuzz
 
 
 def run_cli(*args, stdin=None):
@@ -46,6 +47,16 @@ class TestExitCodes:
         proc = run_cli("synthesize", "0,1")
         assert proc.returncode == 1
         assert "FAIL" in proc.stdout
+        assert proc.stderr == "error: not a trace sequence: 1 of 1 congruences fail, first at (n=2, p=2, k=1)\n"
+
+    def test_synthesize_failure_line_is_bounded(self, capsys, monkeypatch):
+        # the report on stdout keeps every failing row; stderr names the first
+        traces = list(range(1, 401))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(",".join(map(str, traces))))
+        assert main(["synthesize", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == _report_text(check_trace_sequence(traces, with_witness=True)) + "\n"
+        assert captured.err == "error: not a trace sequence: 790 of 790 congruences fail, first at (n=2, p=2, k=1)\n"
 
 
 class TestCheckTraces:
@@ -386,8 +397,10 @@ class TestSubcommandValueErrors:
             (["ghost", "1", "--count", "-1"], "--count must be non-negative"),
             (["traces", "-", "--count", "-1"], "--count must be non-negative"),
             (["fuzz", "--dim", "-1"], "--dim must be non-negative"),
+            (["check-exterior", "-", "--prime", "2", "--kmax", "0"], "--kmax must be at least 1"),
+            (["check-exterior", "-", "--prime", "4"], "4 is not prime"),
         ],
-        ids=["ghost", "traces", "fuzz"],
+        ids=["ghost", "traces", "fuzz", "exterior-kmax", "exterior-prime"],
     )
     def test_usage_and_error_name_the_subcommand(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -39,10 +40,15 @@ from .oracles import (
 
 
 def test_is_prime_small_table():
-    # trial division and the smallest-prime-factor sieve against the oracle
+    # the strong probable-prime tests, trial division and the sieve against the oracle
+    assert [n for n in range(-5, 10**5 + 1) if is_prime(n)] == sieve_primes(10**5)
+    # the least strong pseudoprimes to the prime bases below 11, 37 and 41: a base list
+    # one short takes the one it no longer reaches for a prime
+    for factors in ((151, 751, 28351), (149491, 747451, 34233211), (399165290221, 798330580441)):
+        assert not is_prime(prod(factors))
+    assert is_prime(2**61 - 1) and is_prime(10**14 + 31) and not is_prime(10000004400000259)
     spf = smallest_prime_factors(2000)
     assert len(spf) == 2001 and spf[:2] == [0, 1]
-    assert [n for n in range(2001) if is_prime(n)] == sieve_primes(2000)
     assert [n for n in range(2, 2001) if spf[n] == n] == sieve_primes(2000)
     assert all(spf[n] == smallest_prime_factor(n) for n in range(2, 2001))
     assert smallest_prime_factors(0) == [0] and smallest_prime_factors(-1) == []

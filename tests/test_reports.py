@@ -124,3 +124,24 @@ class TestRow:
 )
 def test_encode_scalar_bytes(value):
     assert json.dumps(encode_scalar(value)) == json.dumps(json_scalar(value))
+
+
+class TestOverall:
+    def test_read_once_and_recomputed_by_replace(self):
+        report = check_trace_sequence([1, 3, 4, 7])
+        assert report.overall
+        failing = dataclasses.replace(report, checks=(*report.checks, _row(2, 2, 1, 1, 0)))
+        assert not failing.overall and report.overall
+        assert dataclasses.replace(failing, checks=report.checks).overall
+        assert pickle.loads(pickle.dumps(failing)) == failing and not pickle.loads(pickle.dumps(failing)).overall
+        assert repr(report) == repr(check_trace_sequence([1, 3, 4, 7]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.overall = False
+
+    @pytest.mark.parametrize("traces, code", [("1,3,4,7", 0), ("0,1", 1), ("5", 0)], ids=["pass", "fail", "no-rows"])
+    def test_json_text_and_exit_code_agree(self, capsys, traces, code):
+        assert main(["check-traces", traces]) == code
+        (verdict,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("overall: ")]
+        assert (verdict == "overall: PASS") == (code == 0)
+        assert main(["check-traces", traces, "--format", "json"]) == code
+        assert json.loads(capsys.readouterr().out)["overall"] == (code == 0)

@@ -59,17 +59,28 @@ def _load_json(path: str):
         raise ValueError("JSON input is nested too deeply") from None
 
 
+def _matrix(args) -> IntMatrix:
+    return IntMatrix.from_json_dict(_load_json(args.matrix))
+
+
+def _count(args, parser) -> int:
+    if args.count < 0:
+        parser.error("--count must be non-negative")
+    return args.count
+
+
 def _emit_json(payload: dict, args) -> None:
     if not args.no_timestamp:
         payload["timestamp"] = datetime.now(timezone.utc).isoformat()
     print(json.dumps(payload, separators=(",", ":")))
 
 
-def _emit_values(values: Sequence[Scalar], args) -> None:
+def _emit_values(values: Sequence[Scalar], args) -> int:
     if args.format == "json":
         _emit_json({"values": [encode_scalar(v) for v in values]}, args)
     else:
         print(",".join(map(str, values)))
+    return OK
 
 
 def _policy_text(policy: dict) -> str:
@@ -105,65 +116,48 @@ def _report_text(report: CongruenceReport) -> str:
     return "\n".join(lines)
 
 
-def _emit_report(report: CongruenceReport, args) -> None:
+def _emit_report(report: CongruenceReport, args) -> int:
     if args.format == "json":
         _emit_json(report.to_json_dict(), args)
     else:
         print(_report_text(report))
-
-
-def cmd_check_traces(args, parser) -> int:
-    traces = _sequence(args)
-    report = check_trace_sequence(traces)
-    _emit_report(report, args)
     return OK if report.overall else MATH_FAIL
 
 
+def cmd_check_traces(args, parser) -> int:
+    return _emit_report(check_trace_sequence(_sequence(args)), args)
+
+
 def cmd_synthesize(args, parser) -> int:
-    traces = _sequence(args)
     try:
-        matrix = synthesize(traces)
+        matrix = synthesize(_sequence(args))
     except InvalidTraceSequenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _emit_report(exc.report, args)
-        return MATH_FAIL
+        return _emit_report(exc.report, args)
     print(json.dumps(matrix.to_json_dict(), separators=(",", ":")))
     return OK
 
 
 def cmd_traces(args, parser) -> int:
-    if args.count < 0:
-        parser.error("--count must be non-negative")
-    matrix = IntMatrix.from_json_dict(_load_json(args.matrix))
-    _emit_values(trace_sequence(matrix, args.count), args)
-    return OK
+    count = _count(args, parser)
+    return _emit_values(trace_sequence(_matrix(args), count), args)
 
 
 def cmd_charpoly(args, parser) -> int:
-    matrix = IntMatrix.from_json_dict(_load_json(args.matrix))
-    _emit_values(char_poly_coeffs(matrix), args)
-    return OK
+    return _emit_values(char_poly_coeffs(_matrix(args)), args)
 
 
 def cmd_witt(args, parser) -> int:
-    traces = _sequence(args)
-    _emit_values(witt_from_ghost(traces), args)
-    return OK
+    return _emit_values(witt_from_ghost(_sequence(args)), args)
 
 
 def cmd_ghost(args, parser) -> int:
-    if args.count < 0:
-        parser.error("--count must be non-negative")
-    witt = _sequence(args, _rational, "rational")
-    _emit_values(ghost_from_witt(witt, args.count), args)
-    return OK
+    count = _count(args, parser)
+    return _emit_values(ghost_from_witt(_sequence(args, _rational, "rational"), count), args)
 
 
 def cmd_check_character(args, parser) -> int:
-    table = CharacterTable.from_json_dict(_load_json(args.table))
-    report = check_character(table)
-    _emit_report(report, args)
-    return OK if report.overall else MATH_FAIL
+    return _emit_report(check_character(CharacterTable.from_json_dict(_load_json(args.table))), args)
 
 
 def cmd_check_exterior(args, parser) -> int:
@@ -171,41 +165,33 @@ def cmd_check_exterior(args, parser) -> int:
         _require_prime(args.prime, args.kmax, "--kmax")
     except ValueError as exc:
         parser.error(str(exc))
-    matrix = IntMatrix.from_json_dict(_load_json(args.matrix))
-    report = CongruenceReport(
-        tuple(exterior_rows(matrix, args.prime, 1, args.kmax)),
-        {"kind": "exterior-power", "p": args.prime, "k_max": args.kmax, "dim": matrix.dim},
-    )
-    _emit_report(report, args)
-    return OK if report.overall else MATH_FAIL
+    matrix = _matrix(args)
+    rows = exterior_rows(matrix, args.prime, 1, args.kmax)
+    policy = {"kind": "exterior-power", "p": args.prime, "k_max": args.kmax, "dim": matrix.dim}
+    return _emit_report(CongruenceReport(tuple(rows), policy), args)
 
 
 def run_fuzz(trials: int, dim: int, entry_bound: int, seed: int) -> dict:
     """Random-matrix oracle run; any violation means a bug somewhere."""
     master = SplitMix64(seed)
     trial_seeds = [master.next_u64() for _ in range(trials)]
-    trace_rows = exterior_checks = 0
+    counts = {"trace": 0, "exterior": 0}
     violations = []
     for index, trial_seed in enumerate(trial_seeds):
         matrix = random_matrix(dim, entry_bound, trial_seed)
-        report = check_trace_sequence(trace_sequence(matrix, 4 * dim))
-        trace_rows += len(report.checks)
-        for row in report.failures():
-            violations.append({"trial": index, "kind": "trace", "n": row.n, "p": row.p})
+        checks = [("trace", check_trace_sequence(trace_sequence(matrix, 4 * dim)).checks)]
         if 1 <= dim <= 4:
-            for p in (2, 3):
-                rows = exterior_rows(matrix, p, 1, 2)
-                exterior_checks += len(rows)
-                for row in rows:
-                    if not row.passed:
-                        violations.append({"trial": index, "kind": "exterior", "n": row.n, "p": row.p})
+            checks += [("exterior", exterior_rows(matrix, p, 1, 2)) for p in (2, 3)]
+        for kind, rows in checks:
+            counts[kind] += len(rows)
+            violations += ({"trial": index, "kind": kind, "n": row.n, "p": row.p} for row in rows if not row.passed)
     return {
         "trials": trials,
         "dim": dim,
         "entry_bound": entry_bound,
         "seed": seed,
-        "trace_checks": trace_rows,
-        "exterior_checks": exterior_checks,
+        "trace_checks": counts["trace"],
+        "exterior_checks": counts["exterior"],
         "violations": violations,
         "ok": not violations,
     }
@@ -246,36 +232,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def sequence_command(name, func, help_text):
+    def command(name, func, help_text, operand, operand_help):
         p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("values", help="comma-separated values ('-' for stdin)")
+        p.add_argument(operand, help=operand_help)
         p.set_defaults(func=func, parser=p)
         return p
 
-    sequence_command("check-traces", cmd_check_traces, "check the trace-sequence congruences")
-    sequence_command("synthesize", cmd_synthesize, "build a witness matrix for a sequence")
-    sequence_command("witt", cmd_witt, "Witt coordinates of a trace sequence")
-    ghost = sequence_command("ghost", cmd_ghost, "ghost components of Witt coordinates (rationals allowed)")
+    values = ("values", "comma-separated values ('-' for stdin)")
+    matrix = ("matrix", "matrix JSON file ('-' for stdin)")
+    table = ("table", "character table JSON file ('-' for stdin)")
+    command("check-traces", cmd_check_traces, "check the trace-sequence congruences", *values)
+    command("synthesize", cmd_synthesize, "build a witness matrix for a sequence", *values)
+    command("witt", cmd_witt, "Witt coordinates of a trace sequence", *values)
+    ghost = command("ghost", cmd_ghost, "ghost components of Witt coordinates (rationals allowed)", *values)
     ghost.add_argument("--count", type=int, required=True, help="number of components to produce")
-
-    tr = sub.add_parser("traces", parents=[common], help="traces of powers of a matrix")
-    tr.add_argument("matrix", help="matrix JSON file ('-' for stdin)")
-    tr.add_argument("--count", type=int, required=True, help="number of traces to produce")
-    tr.set_defaults(func=cmd_traces, parser=tr)
-
-    cp = sub.add_parser("charpoly", parents=[common], help="characteristic coefficients of det(1+tf)")
-    cp.add_argument("matrix", help="matrix JSON file ('-' for stdin)")
-    cp.set_defaults(func=cmd_charpoly, parser=cp)
-
-    cc = sub.add_parser("check-character", parents=[common], help="check a character table's congruences")
-    cc.add_argument("table", help="character table JSON file ('-' for stdin)")
-    cc.set_defaults(func=cmd_check_character, parser=cc)
-
-    ce = sub.add_parser("check-exterior", parents=[common], help="check exterior-power congruences of a matrix")
-    ce.add_argument("matrix", help="matrix JSON file ('-' for stdin)")
-    ce.add_argument("--prime", type=int, required=True)
-    ce.add_argument("--kmax", type=int, default=1)
-    ce.set_defaults(func=cmd_check_exterior, parser=ce)
+    traces = command("traces", cmd_traces, "traces of powers of a matrix", *matrix)
+    traces.add_argument("--count", type=int, required=True, help="number of traces to produce")
+    command("charpoly", cmd_charpoly, "characteristic coefficients of det(1+tf)", *matrix)
+    command("check-character", cmd_check_character, "check a character table's congruences", *table)
+    exterior = command("check-exterior", cmd_check_exterior, "check exterior-power congruences of a matrix", *matrix)
+    exterior.add_argument("--prime", type=int, required=True)
+    exterior.add_argument("--kmax", type=int, default=1)
 
     fz = sub.add_parser("fuzz", parents=[common], help="random-matrix oracle run")
     fz.add_argument("--seed", type=int, default=0, help="PRNG seed for randomized commands")

@@ -36,8 +36,8 @@ from .matrices import (
     mat_pow,
     trace_sequence,
 )
-from .newton import _elementary_to_traces, _traces_to_elementary, exact_ints, integrality_check
-from .witt import _witt, smallest_prime_factor, smallest_prime_factors
+from .newton import _elementary_to_traces, _exact_int, _traces_to_elementary, exact_ints, integrality_check
+from .witt import _witt, factor, smallest_prime_factors
 
 
 _SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -47,8 +47,8 @@ def is_prime(n: int) -> bool:
     """Deterministic primality.  Below 3317044064679887385961981, the least strong
     pseudoprime to the prime bases 2..41, strong probable-prime tests to those bases
     decide it (Sorenson and Webster, Math. Comp. 86, 2017); trial division above."""
-    if n >= 3317044064679887385961981:
-        return smallest_prime_factor(n) == n
+    if _exact_int(n, "n") >= 3317044064679887385961981:
+        return next(factor(n)) == (n, 1)
     if n < 2 or any(n % a == 0 for a in _SPRP_BASES):
         return n in _SPRP_BASES
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
@@ -60,9 +60,9 @@ def is_prime(n: int) -> bool:
 
 
 def _require_prime(p: int, k: int, name: str = "k") -> None:
-    if not is_prime(p):
+    if not is_prime(_exact_int(p, "p")):
         raise ValueError(f"{p} is not prime")
-    if k < 1:
+    if _exact_int(k, name) < 1:
         raise ValueError(f"{name} must be at least 1")
 
 
@@ -80,18 +80,7 @@ def prime_power_split(n: int) -> tuple[PrimePower, ...]:
     >>> prime_power_split(12)
     (PrimePower(p=2, k=2, s=3), PrimePower(p=3, k=1, s=4))
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    parts = []
-    rest = n
-    while rest > 1:
-        p = smallest_prime_factor(rest)
-        k = 0
-        while rest % p == 0:
-            rest //= p
-            k += 1
-        parts.append(PrimePower(p, k, n // p**k))
-    return tuple(parts)
+    return tuple(PrimePower(p, k, n // p**k) for p, k in factor(n))
 
 
 @dataclass(frozen=True)
@@ -238,6 +227,7 @@ def lemma6_verify(a: int, p: int, k: int) -> bool:
     Exponentiation is done modulo p^k, which decides the same divisibility
     without materializing the full powers.
     """
+    _exact_int(a, "a")
     _require_prime(p, k)
     modulus = p**k
     return (pow(a, p**k, modulus) - pow(a, p ** (k - 1), modulus)) % modulus == 0
@@ -362,7 +352,7 @@ class CharacterTable:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if self.order < 1:
+        if _exact_int(self.order, "order") < 1:
             raise ValueError("order must be positive")
         vals = tuple(self.values)
         if len(vals) != self.order:

@@ -21,7 +21,7 @@ from itertools import chain, combinations
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
-from .newton import Scalar, _elementary_to_traces, as_integers, exact_ints
+from .newton import Scalar, _elementary_to_traces, _exact_int, as_integers, exact_ints
 from .rng import SplitMix64
 
 # Largest magnitude a JSON consumer with IEEE doubles can hold exactly.
@@ -103,7 +103,7 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.dim < 0:
+        if _exact_int(self.dim, "dim") < 0:
             raise ValueError("dimension must be non-negative")
         rows = tuple(map(tuple, self.entries))
         if len(rows) != self.dim or any(len(row) != self.dim for row in rows):

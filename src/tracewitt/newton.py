@@ -52,6 +52,13 @@ def exact_ints(values: Sequence[object]) -> Sequence[int]:
     return _exact(values, (int,), "an int")
 
 
+def _exact_int(value: object, name: str) -> int:
+    """``value``, once checked to be an int (not a bool); else ValueError naming the parameter."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r:.40}")
+    return value
+
+
 def traces_to_elementary(traces: Sequence[Scalar]) -> tuple[Fraction, ...]:
     """Convert power sums b_1..b_N into elementary coefficients a_1..a_N.
 

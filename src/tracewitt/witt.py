@@ -31,19 +31,28 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .newton import Scalar, _elementary_to_traces, _traces_to_elementary, exact_entries
+from .newton import Scalar, _elementary_to_traces, _exact_int, _traces_to_elementary, exact_entries
 
 
-def smallest_prime_factor(n: int) -> int:
-    """Smallest prime factor of n >= 2 (n itself when prime), by trial division."""
+def factor(n: int) -> Iterator[tuple[int, int]]:
+    """The prime powers p**k exactly dividing n >= 1, as pairs (p, k) with p ascending.
+    One trial-division loop, going on from the last divisor; lazy, so ``next`` stops at the
+    smallest prime factor.  A non-int n or n < 1 raises ValueError on the first ``next``."""
+    if _exact_int(n, "n") < 1:
+        raise ValueError("n must be positive")
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return d
+            k = 0
+            while n % d == 0:
+                n //= d
+                k += 1
+            yield d, k
         d += 1
-    return n
+    if n > 1:
+        yield n, 1
 
 
 def smallest_prime_factors(limit: int) -> list[int]:
@@ -60,13 +69,9 @@ def smallest_prime_factors(limit: int) -> list[int]:
 
 def divisors(n: int) -> list[int]:
     """Divisors of n in ascending order, from its prime factors."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    divs = {1}
-    while n > 1:
-        p = smallest_prime_factor(n)
-        n //= p
-        divs |= {d * p for d in divs}
+    divs = [1]
+    for p, k in factor(n):
+        divs = [d * p**j for j in range(k + 1) for d in divs]
     return sorted(divs)
 
 

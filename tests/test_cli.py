@@ -371,6 +371,62 @@ class TestParserSurface:
         assert got == self.DESTS
         assert sum(map(len, got.values())) == 34
 
+    # (dest, help, type, default, required) of each argument after the common two
+    COMMON = (
+        ("format", None, None, "text", False),
+        ("no_timestamp", "omit timestamps from JSON output", None, False, False),
+    )
+    VALUES = ("values", "comma-separated values ('-' for stdin)", None, None, True)
+    MATRIX = ("matrix", "matrix JSON file ('-' for stdin)", None, None, True)
+    SPECS = {
+        "check-traces": ("check the trace-sequence congruences", VALUES),
+        "synthesize": ("build a witness matrix for a sequence", VALUES),
+        "witt": ("Witt coordinates of a trace sequence", VALUES),
+        "ghost": (
+            "ghost components of Witt coordinates (rationals allowed)",
+            VALUES,
+            ("count", "number of components to produce", int, None, True),
+        ),
+        "traces": (
+            "traces of powers of a matrix",
+            MATRIX,
+            ("count", "number of traces to produce", int, None, True),
+        ),
+        "charpoly": ("characteristic coefficients of det(1+tf)", MATRIX),
+        "check-character": (
+            "check a character table's congruences",
+            ("table", "character table JSON file ('-' for stdin)", None, None, True),
+        ),
+        "check-exterior": (
+            "check exterior-power congruences of a matrix",
+            MATRIX,
+            ("prime", None, int, None, True),
+            ("kmax", None, int, 1, False),
+        ),
+        "fuzz": (
+            "random-matrix oracle run",
+            ("seed", "PRNG seed for randomized commands", int, 0, False),
+            ("trials", None, int, 100, False),
+            ("dim", None, int, 4, False),
+            ("entry_bound", None, int, 3, False),
+        ),
+    }
+
+    def test_help_lines_and_argument_specs(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        got = {
+            choice.dest: (
+                choice.help,
+                *(
+                    (a.dest, a.help, a.type, a.default, a.required)
+                    for a in sub.choices[choice.dest]._actions
+                    if a.dest != "help"
+                ),
+            )
+            for choice in sub._choices_actions
+        }
+        assert got == {name: (line, *self.COMMON, *args) for name, (line, *args) in self.SPECS.items()}
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from tracewitt import (
     CharacterTable,
+    IntMatrix,
     InvalidTraceSequenceError,
     PrimePower,
     character_check_bound,
@@ -19,6 +20,7 @@ from tracewitt import (
     check_exterior_congruence,
     check_matrix_congruences,
     check_trace_sequence,
+    divisors,
     exterior_via_compound,
     is_prime,
     lemma6_verify,
@@ -28,7 +30,7 @@ from tracewitt import (
     trace_sequence,
 )
 from tracewitt.congruences import CongruenceRow
-from tracewitt.witt import smallest_prime_factor, smallest_prime_factors
+from tracewitt.witt import factor, smallest_prime_factors
 
 from .oracles import (
     char_coeffs_perm,
@@ -50,8 +52,30 @@ def test_is_prime_small_table():
     spf = smallest_prime_factors(2000)
     assert len(spf) == 2001 and spf[:2] == [0, 1]
     assert [n for n in range(2, 2001) if spf[n] == n] == sieve_primes(2000)
-    assert all(spf[n] == smallest_prime_factor(n) for n in range(2, 2001))
+    assert all(spf[n] == next(factor(n))[0] for n in range(2, 2001))
     assert smallest_prime_factors(0) == [0] and smallest_prime_factors(-1) == []
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: is_prime(7.0), "n"),
+        (lambda: is_prime(True), "n"),
+        (lambda: prime_power_split(12.0), "n"),
+        (lambda: divisors(12.0), "n"),
+        (lambda: IntMatrix(2.0, ((1, 0), (0, 1))), "dim"),
+        (lambda: CharacterTable(2.0, (1, 1)), "order"),
+        (lambda: lemma6_verify(True, 2, 1), "a"),
+        (lambda: lemma6_verify(3, 2.0, 1), "p"),
+        (lambda: lemma6_verify(3, 2, True), "k"),
+        (lambda: check_matrix_congruences(IntMatrix.identity(1), 2, 1.0), "k_max"),
+    ],
+    ids=["is_prime", "is_prime-bool", "split", "divisors", "dim", "order", "a", "p", "k", "k_max"],
+)
+def test_scalar_parameters_refuse_floats_and_bools(call, name):
+    # a float (or a bool) never reaches the arithmetic: 7.0 is not called prime, 12.0 not factored
+    with pytest.raises(ValueError, match=rf"^{name} must be an int, got "):
+        call()
 
 
 class TestPrimePowerSplit:

@@ -27,7 +27,7 @@ from .congruences import (
     synthesize,
 )
 from .matrices import IntMatrix, char_poly_coeffs, encode_scalar, parse_decimals, random_matrix, trace_sequence
-from .newton import Scalar
+from .newton import Scalar, _exact_int
 from .rng import SplitMix64
 from .witt import ghost_from_witt, witt_from_ghost
 
@@ -63,10 +63,11 @@ def _matrix(args) -> IntMatrix:
     return IntMatrix.from_json_dict(_load_json(args.matrix))
 
 
-def _count(args, parser) -> int:
-    if args.count < 0:
-        parser.error("--count must be non-negative")
-    return args.count
+def _at_least(parser, flag: str, value: int, low: int) -> int:
+    try:
+        return _exact_int(value, flag, low)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _emit_json(payload: dict, args) -> None:
@@ -139,7 +140,7 @@ def cmd_synthesize(args, parser) -> int:
 
 
 def cmd_traces(args, parser) -> int:
-    count = _count(args, parser)
+    count = _at_least(parser, "--count", args.count, 0)
     return _emit_values(trace_sequence(_matrix(args), count), args)
 
 
@@ -152,7 +153,7 @@ def cmd_witt(args, parser) -> int:
 
 
 def cmd_ghost(args, parser) -> int:
-    count = _count(args, parser)
+    count = _at_least(parser, "--count", args.count, 0)
     return _emit_values(ghost_from_witt(_sequence(args, _rational, "rational"), count), args)
 
 
@@ -198,12 +199,9 @@ def run_fuzz(trials: int, dim: int, entry_bound: int, seed: int) -> dict:
 
 
 def cmd_fuzz(args, parser) -> int:
-    if args.trials < 1:
-        parser.error("--trials must be at least 1")
-    if args.dim < 0:
-        parser.error("--dim must be non-negative")
-    if args.entry_bound < 1:
-        parser.error("--entry-bound must be at least 1")
+    _at_least(parser, "--trials", args.trials, 1)
+    _at_least(parser, "--dim", args.dim, 0)
+    _at_least(parser, "--entry-bound", args.entry_bound, 1)
     summary = run_fuzz(args.trials, args.dim, args.entry_bound, args.seed)
     if args.format == "json":
         _emit_json(summary, args)

@@ -62,8 +62,7 @@ def is_prime(n: int) -> bool:
 def _require_prime(p: int, k: int, name: str = "k") -> None:
     if not is_prime(_exact_int(p, "p")):
         raise ValueError(f"{p} is not prime")
-    if _exact_int(k, name) < 1:
-        raise ValueError(f"{name} must be at least 1")
+    _exact_int(k, name, 1)
 
 
 class PrimePower(NamedTuple):
@@ -352,8 +351,7 @@ class CharacterTable:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if _exact_int(self.order, "order") < 1:
-            raise ValueError("order must be positive")
+        _exact_int(self.order, "order", 1)
         vals = tuple(self.values)
         if len(vals) != self.order:
             raise ValueError(f"need exactly {self.order} values, got {len(vals)}")
@@ -390,6 +388,9 @@ def character_check_bound(p: int, order: int, max_abs: int) -> int:
     where k0 is the smallest k with ``p^k > 2 * max_abs``, therefore covers
     every larger k by repetition.
     """
+    _exact_int(p, "p", 2)  # for p = 0 or 1, p^k would never pass 2 * max_abs
+    _exact_int(order, "order", 1)
+    _exact_int(max_abs, "max_abs", 0)
     k0 = 1
     while p**k0 <= 2 * max_abs:
         k0 += 1

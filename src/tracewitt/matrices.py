@@ -103,8 +103,7 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if _exact_int(self.dim, "dim") < 0:
-            raise ValueError("dimension must be non-negative")
+        _exact_int(self.dim, "dim", 0)
         rows = tuple(map(tuple, self.entries))
         if len(rows) != self.dim or any(len(row) != self.dim for row in rows):
             raise ValueError(f"entries do not form a {self.dim}x{self.dim} square")
@@ -117,7 +116,8 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, dim: int) -> "IntMatrix":
-        return cls(dim, tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)))
+        span = range(_exact_int(dim, "dim", 0))
+        return cls(dim, tuple(tuple(int(i == j) for j in span) for i in span))
 
     def trace(self) -> int:
         return sum(self.entries[i][i] for i in range(self.dim))
@@ -161,9 +161,7 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 def mat_pow(f: IntMatrix, n: int) -> IntMatrix:
     """``f**n`` by repeated squaring from the lowest set bit: ``f**0`` is the
     identity, and n >= 1 costs ``n.bit_length() + popcount(n) - 2`` products."""
-    if n < 0:
-        raise ValueError("exponent must be non-negative")
-    result = None if n else IntMatrix.identity(f.dim)
+    result = None if _exact_int(n, "n", 0) else IntMatrix.identity(f.dim)
     base = f
     while n:
         if n & 1:
@@ -176,6 +174,7 @@ def mat_pow(f: IntMatrix, n: int) -> IntMatrix:
 
 def trace_sequence(f: IntMatrix, n_max: int) -> tuple[int, ...]:
     """Traces of f, f^2, ..., f^n_max, by the Newton recurrence on det(1 + t*f)."""
+    _exact_int(n_max, "n_max", 0)
     return _elementary_to_traces(char_poly_coeffs(f), n_max)
 
 
@@ -197,10 +196,11 @@ def char_poly_coeffs(f: IntMatrix) -> tuple[int, ...]:
     for k, row in enumerate(rows):
         block = rows[:k]  # zip and map stop at the shorter input, so these rows act as f_k
         col = [r[k] for r in block]
-        toeplitz = [1, -row[k]]
-        for _ in range(k):
-            toeplitz.append(-sum(map(mul, row, col)))
-            col = [sum(map(mul, r, col)) for r in block]
+        toeplitz = [1, -row[k]] + [0] * k
+        if any(col):  # else R f_k^j C = 0 for every j: a companion matrix skips all but its last column
+            for j in range(2, k + 2):
+                toeplitz[j] = -sum(map(mul, row, col))
+                col = [sum(map(mul, r, col)) for r in block]
         poly = [sum(map(mul, poly, toeplitz[i::-1])) for i in range(k + 2)]
     return tuple(c if i % 2 == 0 else -c for i, c in enumerate(poly[1:], start=1))
 
@@ -230,7 +230,7 @@ def compound_matrix(f: IntMatrix, i: int) -> IntMatrix:
     the i-th characteristic coefficient of f, and it respects products:
     ``compound(f*g, i) == compound(f, i) * compound(g, i)``.
     """
-    if not 1 <= i <= f.dim:
+    if not 1 <= _exact_int(i, "i") <= f.dim:
         raise ValueError(f"minor size {i} out of range for dimension {f.dim}")
     subsets = list(combinations(range(f.dim), i))
     entries = tuple(
@@ -268,13 +268,10 @@ def random_matrix(dim: int, bound: int, seed: int) -> IntMatrix:
     matrix on every platform and Python version.  Entries are drawn in
     row-major order.
     """
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
-    gen = SplitMix64(seed)
-    return IntMatrix(
-        dim,
-        tuple(tuple(gen.integer(-bound, bound) for _ in range(dim)) for _ in range(dim)),
-    )
+    _exact_int(bound, "bound", 1)
+    gen = SplitMix64(_exact_int(seed, "seed"))
+    span = range(_exact_int(dim, "dim", 0))
+    return IntMatrix(dim, tuple(tuple(gen.integer(-bound, bound) for _ in span) for _ in span))
 
 
 __all__ = [

@@ -52,10 +52,13 @@ def exact_ints(values: Sequence[object]) -> Sequence[int]:
     return _exact(values, (int,), "an int")
 
 
-def _exact_int(value: object, name: str) -> int:
-    """``value``, once checked to be an int (not a bool); else ValueError naming the parameter."""
+def _exact_int(value: object, name: str, low: int | None = None) -> int:
+    """``value``, once checked to be an int (not a bool) and, given ``low``, at least ``low``;
+    else ValueError naming the parameter.  Every integer parameter of the API goes through it."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an int, got {value!r:.40}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}")
     return value
 
 
@@ -116,12 +119,10 @@ def elementary_to_traces(coeffs: Sequence[Scalar], n_max: int) -> tuple[Scalar, 
     >>> elementary_to_traces([2], 3)
     (2, 4, 8)
     """
-    return _elementary_to_traces(exact_entries(coeffs), n_max)
+    return _elementary_to_traces(exact_entries(coeffs), _exact_int(n_max, "n_max", 0))
 
 
 def _elementary_to_traces(coeffs: Sequence[Scalar], n_max: int) -> tuple[Scalar, ...]:
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
     signed = [c if i % 2 else -c for i, c in enumerate(coeffs, start=1)]
     traces: list[Scalar] = []
     for n in range(1, n_max + 1):

@@ -40,8 +40,7 @@ def factor(n: int) -> Iterator[tuple[int, int]]:
     """The prime powers p**k exactly dividing n >= 1, as pairs (p, k) with p ascending.
     One trial-division loop, going on from the last divisor; lazy, so ``next`` stops at the
     smallest prime factor.  A non-int n or n < 1 raises ValueError on the first ``next``."""
-    if _exact_int(n, "n") < 1:
-        raise ValueError("n must be positive")
+    _exact_int(n, "n", 1)
     d = 2
     while d * d <= n:
         if n % d == 0:
@@ -115,7 +114,7 @@ def coeffs_to_witt(coeffs: Sequence[Scalar], n_max: int | None = None) -> tuple[
     >>> coeffs_to_witt([2], 4)
     (2, 0, 0, 0)
     """
-    n = len(coeffs) if n_max is None else n_max
+    n = len(coeffs) if n_max is None else _exact_int(n_max, "n_max", 0)
     used = exact_entries(coeffs)[:n]
     return _promoted(_witt(_elementary_to_traces(used, n)), used)
 
@@ -145,9 +144,7 @@ def ghost_from_witt(witt: Sequence[Scalar], n_max: int) -> tuple[Scalar, ...]:
     >>> ghost_from_witt([1], 3)
     (1, 1, 1)
     """
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    ghosts: list[Scalar] = [0] * n_max
+    ghosts: list[Scalar] = [0] * _exact_int(n_max, "n_max", 0)
     for d, x in enumerate(exact_entries(witt)[:n_max], start=1):
         if x:
             power = x

@@ -1,7 +1,12 @@
 """The package's public surface: each module's ``__all__``, re-exported once."""
 
+import re
+
+import pytest
+
 import tracewitt
 from tracewitt import congruences, matrices, newton, rng, witt
+from tracewitt.witt import factor
 
 PUBLIC = [
     "CharacterTable",
@@ -59,3 +64,44 @@ def test_each_name_is_its_defining_modules_object():
         for name in module.__all__:
             assert getattr(tracewitt, name) is getattr(module, name)
             assert getattr(module, name).__module__ == module.__name__
+
+
+F = tracewitt.IntMatrix.identity(2)
+
+# (call on the value, parameter name, lower bound or None): every integer parameter of the API
+INTEGER_PARAMETERS = {
+    "IntMatrix-dim": (lambda v: tracewitt.IntMatrix(v, ()), "dim", 0),
+    "identity-dim": (tracewitt.IntMatrix.identity, "dim", 0),
+    "random_matrix-dim": (lambda v: tracewitt.random_matrix(v, 1, 0), "dim", 0),
+    "random_matrix-bound": (lambda v: tracewitt.random_matrix(2, v, 0), "bound", 1),
+    "random_matrix-seed": (lambda v: tracewitt.random_matrix(2, 1, v), "seed", None),
+    "mat_pow-n": (lambda v: tracewitt.mat_pow(F, v), "n", 0),
+    "compound_matrix-i": (lambda v: tracewitt.compound_matrix(F, v), "i", None),
+    "trace_sequence-n_max": (lambda v: tracewitt.trace_sequence(F, v), "n_max", 0),
+    "elementary_to_traces-n_max": (lambda v: tracewitt.elementary_to_traces([1], v), "n_max", 0),
+    "coeffs_to_witt-n_max": (lambda v: tracewitt.coeffs_to_witt([1], v), "n_max", 0),
+    "witt_to_coeffs-n_max": (lambda v: tracewitt.witt_to_coeffs([1], v), "n_max", 0),
+    "ghost_from_witt-n_max": (lambda v: tracewitt.ghost_from_witt([1], v), "n_max", 0),
+    "factor-n": (lambda v: next(factor(v)), "n", 1),
+    "prime_power_split-n": (tracewitt.prime_power_split, "n", 1),
+    "divisors-n": (tracewitt.divisors, "n", 1),
+    "CharacterTable-order": (lambda v: tracewitt.CharacterTable(v, ()), "order", 1),
+    "lemma6_verify-k": (lambda v: tracewitt.lemma6_verify(3, 2, v), "k", 1),
+    "check_matrix_congruences-k_max": (lambda v: tracewitt.check_matrix_congruences(F, 2, v), "k_max", 1),
+    "check_exterior_congruence-k": (lambda v: tracewitt.check_exterior_congruence(F, 2, v), "k", 1),
+    "exterior_via_compound-k": (lambda v: tracewitt.exterior_via_compound(F, 2, v), "k", 1),
+    "character_check_bound-p": (lambda v: tracewitt.character_check_bound(v, 4, 1), "p", 2),
+    "character_check_bound-order": (lambda v: tracewitt.character_check_bound(2, v, 1), "order", 1),
+    "character_check_bound-max_abs": (lambda v: tracewitt.character_check_bound(2, 4, v), "max_abs", 0),
+}
+
+
+@pytest.mark.parametrize("call, name, low", INTEGER_PARAMETERS.values(), ids=INTEGER_PARAMETERS)
+def test_integer_parameters_refuse_floats_bools_and_values_below_their_bound(call, name, low):
+    # 2.0 and True would each pass for 2 and 1 in the arithmetic; both are refused by name
+    for bad in (2.0, True):
+        with pytest.raises(ValueError, match=rf"^{name} must be an int, got {re.escape(repr(bad))}$"):
+            call(bad)
+    if low is not None:
+        with pytest.raises(ValueError, match=rf"^{name} must be at least {low}$"):
+            call(low - 1)

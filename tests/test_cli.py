@@ -450,9 +450,9 @@ class TestSubcommandValueErrors:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["ghost", "1", "--count", "-1"], "--count must be non-negative"),
-            (["traces", "-", "--count", "-1"], "--count must be non-negative"),
-            (["fuzz", "--dim", "-1"], "--dim must be non-negative"),
+            (["ghost", "1", "--count", "-1"], "--count must be at least 0"),
+            (["traces", "-", "--count", "-1"], "--count must be at least 0"),
+            (["fuzz", "--dim", "-1"], "--dim must be at least 0"),
             (["check-exterior", "-", "--prime", "2", "--kmax", "0"], "--kmax must be at least 1"),
             (["check-exterior", "-", "--prime", "4"], "4 is not prime"),
         ],

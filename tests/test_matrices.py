@@ -159,6 +159,24 @@ class TestCharPoly:
         f = random_matrix(dim, 1 + seed, 100 * dim + seed)
         assert list(char_poly_coeffs(f)) == char_coeffs_perm([list(r) for r in f.entries])
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_sparse_matches_permutation_expansion(self, data):
+        # zero bordering columns are skipped, so this one is mostly zeros, some columns wholly so
+        dim = data.draw(st.integers(min_value=0, max_value=7))
+        zero_cols = data.draw(st.sets(st.integers(min_value=0, max_value=max(dim - 1, 0))))
+        entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+        rows = [[0 if j in zero_cols else data.draw(entry) for j in range(dim)] for _ in range(dim)]
+        assert list(char_poly_coeffs(as_matrix(rows))) == char_coeffs_perm(rows)
+
+    def test_companion_costs_cubic_products(self, monkeypatch):
+        # on a companion matrix only the last bordering column is nonzero: O(r^3), not O(r^4)
+        products = []
+        monkeypatch.setattr(matrices, "mul", lambda x, y: products.append(1) or x * y)
+        coeffs = list(range(1, 41))
+        assert list(char_poly_coeffs(companion_matrix(coeffs))) == coeffs
+        assert len(products) < 2 * 40**3
+
     @pytest.mark.parametrize("dim", range(7, 13))
     def test_large_dims_match_newton_on_naive_traces(self, dim):
         f = random_matrix(dim, 3, dim)

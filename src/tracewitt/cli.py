@@ -20,14 +20,16 @@ from .congruences import (
     CharacterTable,
     CongruenceReport,
     InvalidTraceSequenceError,
-    _require_prime,
     check_character,
     check_trace_sequence,
     exterior_rows,
+    is_prime,
     synthesize,
 )
-from .matrices import IntMatrix, char_poly_coeffs, encode_scalar, parse_decimals, random_matrix, trace_sequence
-from .newton import Scalar, _exact_int
+from .matrices import (
+    IntMatrix, char_poly_coeffs, encode_scalar, parse_decimal, parse_decimals, random_matrix, trace_sequence
+)
+from .newton import Scalar
 from .rng import SplitMix64
 from .witt import ghost_from_witt, witt_from_ghost
 
@@ -61,13 +63,6 @@ def _load_json(path: str):
 
 def _matrix(args) -> IntMatrix:
     return IntMatrix.from_json_dict(_load_json(args.matrix))
-
-
-def _at_least(parser, flag: str, value: int, low: int) -> int:
-    try:
-        return _exact_int(value, flag, low)
-    except ValueError as exc:
-        parser.error(str(exc))
 
 
 def _emit_json(payload: dict, args) -> None:
@@ -125,11 +120,11 @@ def _emit_report(report: CongruenceReport, args) -> int:
     return OK if report.overall else MATH_FAIL
 
 
-def cmd_check_traces(args, parser) -> int:
+def cmd_check_traces(args) -> int:
     return _emit_report(check_trace_sequence(_sequence(args)), args)
 
 
-def cmd_synthesize(args, parser) -> int:
+def cmd_synthesize(args) -> int:
     try:
         matrix = synthesize(_sequence(args))
     except InvalidTraceSequenceError as exc:
@@ -139,33 +134,27 @@ def cmd_synthesize(args, parser) -> int:
     return OK
 
 
-def cmd_traces(args, parser) -> int:
-    count = _at_least(parser, "--count", args.count, 0)
-    return _emit_values(trace_sequence(_matrix(args), count), args)
+def cmd_traces(args) -> int:
+    return _emit_values(trace_sequence(_matrix(args), args.count), args)
 
 
-def cmd_charpoly(args, parser) -> int:
+def cmd_charpoly(args) -> int:
     return _emit_values(char_poly_coeffs(_matrix(args)), args)
 
 
-def cmd_witt(args, parser) -> int:
+def cmd_witt(args) -> int:
     return _emit_values(witt_from_ghost(_sequence(args)), args)
 
 
-def cmd_ghost(args, parser) -> int:
-    count = _at_least(parser, "--count", args.count, 0)
-    return _emit_values(ghost_from_witt(_sequence(args, _rational, "rational"), count), args)
+def cmd_ghost(args) -> int:
+    return _emit_values(ghost_from_witt(_sequence(args, _rational, "rational"), args.count), args)
 
 
-def cmd_check_character(args, parser) -> int:
+def cmd_check_character(args) -> int:
     return _emit_report(check_character(CharacterTable.from_json_dict(_load_json(args.table))), args)
 
 
-def cmd_check_exterior(args, parser) -> int:
-    try:
-        _require_prime(args.prime, args.kmax, "--kmax")
-    except ValueError as exc:
-        parser.error(str(exc))
+def cmd_check_exterior(args) -> int:
     matrix = _matrix(args)
     rows = exterior_rows(matrix, args.prime, 1, args.kmax)
     policy = {"kind": "exterior-power", "p": args.prime, "k_max": args.kmax, "dim": matrix.dim}
@@ -198,10 +187,7 @@ def run_fuzz(trials: int, dim: int, entry_bound: int, seed: int) -> dict:
     }
 
 
-def cmd_fuzz(args, parser) -> int:
-    _at_least(parser, "--trials", args.trials, 1)
-    _at_least(parser, "--dim", args.dim, 0)
-    _at_least(parser, "--entry-bound", args.entry_bound, 1)
+def cmd_fuzz(args) -> int:
     summary = run_fuzz(args.trials, args.dim, args.entry_bound, args.seed)
     if args.format == "json":
         _emit_json(summary, args)
@@ -219,6 +205,20 @@ class _Parser(argparse.ArgumentParser):
         super().error(message if len(message) <= 250 else message[:247] + "...")
 
 
+def _integer(low: int | None = None, prime: bool = False):
+    """An integer option's ``type``: the sequence grammar's integer, at least ``low``, prime if asked."""
+    def read(token: str) -> int:
+        value = parse_decimal(token)
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        if prime and not is_prime(value):
+            raise argparse.ArgumentTypeError(f"{value} is not prime")
+        return value
+
+    read.__name__ = "int"  # argparse reports a token that parse_decimal refuses as an "invalid int value"
+    return read
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
@@ -230,10 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help_text, operand, operand_help):
+    def command(name, func, help_text, operand=None, operand_help=None):
         p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument(operand, help=operand_help)
-        p.set_defaults(func=func, parser=p)
+        if operand:
+            p.add_argument(operand, help=operand_help)
+        p.set_defaults(func=func)
         return p
 
     values = ("values", "comma-separated values ('-' for stdin)")
@@ -243,21 +244,19 @@ def build_parser() -> argparse.ArgumentParser:
     command("synthesize", cmd_synthesize, "build a witness matrix for a sequence", *values)
     command("witt", cmd_witt, "Witt coordinates of a trace sequence", *values)
     ghost = command("ghost", cmd_ghost, "ghost components of Witt coordinates (rationals allowed)", *values)
-    ghost.add_argument("--count", type=int, required=True, help="number of components to produce")
+    ghost.add_argument("--count", type=_integer(0), required=True, help="number of components to produce")
     traces = command("traces", cmd_traces, "traces of powers of a matrix", *matrix)
-    traces.add_argument("--count", type=int, required=True, help="number of traces to produce")
+    traces.add_argument("--count", type=_integer(0), required=True, help="number of traces to produce")
     command("charpoly", cmd_charpoly, "characteristic coefficients of det(1+tf)", *matrix)
     command("check-character", cmd_check_character, "check a character table's congruences", *table)
     exterior = command("check-exterior", cmd_check_exterior, "check exterior-power congruences of a matrix", *matrix)
-    exterior.add_argument("--prime", type=int, required=True)
-    exterior.add_argument("--kmax", type=int, default=1)
-
-    fz = sub.add_parser("fuzz", parents=[common], help="random-matrix oracle run")
-    fz.add_argument("--seed", type=int, default=0, help="PRNG seed for randomized commands")
-    fz.add_argument("--trials", type=int, default=100)
-    fz.add_argument("--dim", type=int, default=4)
-    fz.add_argument("--entry-bound", type=int, default=3)
-    fz.set_defaults(func=cmd_fuzz, parser=fz)
+    exterior.add_argument("--prime", type=_integer(prime=True), required=True)
+    exterior.add_argument("--kmax", type=_integer(1), default=1)
+    fz = command("fuzz", cmd_fuzz, "random-matrix oracle run")
+    fz.add_argument("--seed", type=_integer(), default=0, help="PRNG seed of the trial matrices")
+    fz.add_argument("--trials", type=_integer(1), default=100)
+    fz.add_argument("--dim", type=_integer(0), default=4)
+    fz.add_argument("--entry-bound", type=_integer(1), default=3)
 
     return parser
 
@@ -270,16 +269,16 @@ _parser = functools.cache(build_parser)
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _parser()
-    # argparse takes "-2,3" or "-1/2" for an unknown option; after a space it is
-    # an option value or the positional sequence, and every parser here strips it.
     argv = sys.argv[1:] if argv is None else argv
-    args = parser.parse_args([" " + a if re.match(r"-\.?\d", a) else a for a in argv])
-    # Exact results outgrow Python's default 4300-digit int/str cap.
+    # Exact inputs and results outgrow Python's default 4300-digit int/str cap.
     saved_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if saved_limit:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args, args.parser)  # a value error shows the subcommand's usage
+        # argparse takes "-2,3" or "-1/2" for an unknown option; after a space it is
+        # an option value or the positional sequence, and every parser here strips it.
+        args = parser.parse_args([" " + a if re.match(r"-\.?\d", a) else a for a in argv])
+        return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

@@ -16,6 +16,8 @@ Bounded draws use rejection sampling, so they are exactly uniform.
 
 from __future__ import annotations
 
+from .newton import _exact_int
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -26,7 +28,7 @@ class SplitMix64:
     """SplitMix64 generator seeded with a 64-bit integer."""
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self._state = _exact_int(seed, "seed") & _MASK64
 
     def next_u64(self) -> int:
         """Return the next raw 64-bit output."""
@@ -38,8 +40,7 @@ class SplitMix64:
 
     def below(self, n: int) -> int:
         """Uniform integer in ``[0, n)``, bias-free via rejection over enough 64-bit outputs."""
-        if n <= 0:
-            raise ValueError("n must be positive")
+        _exact_int(n, "n", 1)
         words = max(1, -(-(n - 1).bit_length() // 64))
         threshold = (1 << 64 * words) - (1 << 64 * words) % n
         while True:
@@ -51,7 +52,7 @@ class SplitMix64:
 
     def integer(self, lo: int, hi: int) -> int:
         """Uniform integer in the closed interval ``[lo, hi]``."""
-        if hi < lo:
+        if _exact_int(lo, "lo") > _exact_int(hi, "hi"):
             raise ValueError("empty range")
         return lo + self.below(hi - lo + 1)
 

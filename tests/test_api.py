@@ -93,6 +93,10 @@ INTEGER_PARAMETERS = {
     "character_check_bound-p": (lambda v: tracewitt.character_check_bound(v, 4, 1), "p", 2),
     "character_check_bound-order": (lambda v: tracewitt.character_check_bound(2, v, 1), "order", 1),
     "character_check_bound-max_abs": (lambda v: tracewitt.character_check_bound(2, 4, v), "max_abs", 0),
+    "SplitMix64-seed": (tracewitt.SplitMix64, "seed", None),
+    "SplitMix64.below-n": (lambda v: tracewitt.SplitMix64(0).below(v), "n", 1),
+    "SplitMix64.integer-lo": (lambda v: tracewitt.SplitMix64(0).integer(v, 3), "lo", None),
+    "SplitMix64.integer-hi": (lambda v: tracewitt.SplitMix64(0).integer(0, v), "hi", None),
 }
 
 

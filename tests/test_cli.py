@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
 import argparse
+import ast
+import inspect
 import io
 import json
 import subprocess
@@ -9,6 +11,7 @@ import time
 
 import pytest
 
+import tracewitt.cli
 from tracewitt import check_trace_sequence
 from tracewitt.cli import _parser, _report_text, build_parser, main, run_fuzz
 
@@ -371,7 +374,24 @@ class TestParserSurface:
         assert got == self.DESTS
         assert sum(map(len, got.values())) == 34
 
-    # (dest, help, type, default, required) of each argument after the common two
+    # what an option's type reads from each probe: the value, or None where it refuses the probe
+    PROBES = ("-1", "0", "1", "2", "4")
+    ANY, AT_LEAST_0, AT_LEAST_1 = (-1, 0, 1, 2, 4), (None, 0, 1, 2, 4), (None, None, 1, 2, 4)
+    PRIME = (None, None, None, 2, None)
+
+    @classmethod
+    def reads(cls, reader) -> tuple | None:
+        if reader is None:
+            return None
+        values = []
+        for token in cls.PROBES:
+            try:
+                values.append(reader(token))
+            except argparse.ArgumentTypeError:
+                values.append(None)
+        return tuple(values)
+
+    # (dest, help, what its type reads, default, required) of each argument after the common two
     COMMON = (
         ("format", None, None, "text", False),
         ("no_timestamp", "omit timestamps from JSON output", None, False, False),
@@ -385,12 +405,12 @@ class TestParserSurface:
         "ghost": (
             "ghost components of Witt coordinates (rationals allowed)",
             VALUES,
-            ("count", "number of components to produce", int, None, True),
+            ("count", "number of components to produce", AT_LEAST_0, None, True),
         ),
         "traces": (
             "traces of powers of a matrix",
             MATRIX,
-            ("count", "number of traces to produce", int, None, True),
+            ("count", "number of traces to produce", AT_LEAST_0, None, True),
         ),
         "charpoly": ("characteristic coefficients of det(1+tf)", MATRIX),
         "check-character": (
@@ -400,15 +420,15 @@ class TestParserSurface:
         "check-exterior": (
             "check exterior-power congruences of a matrix",
             MATRIX,
-            ("prime", None, int, None, True),
-            ("kmax", None, int, 1, False),
+            ("prime", None, PRIME, None, True),
+            ("kmax", None, AT_LEAST_1, 1, False),
         ),
         "fuzz": (
             "random-matrix oracle run",
-            ("seed", "PRNG seed for randomized commands", int, 0, False),
-            ("trials", None, int, 100, False),
-            ("dim", None, int, 4, False),
-            ("entry_bound", None, int, 3, False),
+            ("seed", "PRNG seed of the trial matrices", ANY, 0, False),
+            ("trials", None, AT_LEAST_1, 100, False),
+            ("dim", None, AT_LEAST_0, 4, False),
+            ("entry_bound", None, AT_LEAST_1, 3, False),
         ),
     }
 
@@ -418,7 +438,7 @@ class TestParserSurface:
             choice.dest: (
                 choice.help,
                 *(
-                    (a.dest, a.help, a.type, a.default, a.required)
+                    (a.dest, a.help, self.reads(a.type), a.default, a.required)
                     for a in sub.choices[choice.dest]._actions
                     if a.dest != "help"
                 ),
@@ -444,21 +464,48 @@ class TestParserSurface:
         assert capsys.readouterr().out == ""
 
 
+# Each integer option, in a call that passes when a plain value follows it (11 and 3 are prime).
+INTEGER_OPTIONS = {
+    "ghost-count": ["ghost", "1", "--count"],
+    "traces-count": ["traces", "-", "--count"],
+    "kmax": ["check-exterior", "-", "--prime", "2", "--kmax"],
+    "prime": ["check-exterior", "-", "--prime"],
+    "trials": ["fuzz", "--dim", "1", "--trials"],
+    "dim": ["fuzz", "--trials", "1", "--dim"],
+    "entry-bound": ["fuzz", "--trials", "1", "--dim", "1", "--entry-bound"],
+    "seed": ["fuzz", "--trials", "1", "--dim", "1", "--seed"],
+}
+
+
 class TestSubcommandValueErrors:
-    """A bad option value fails through its own subcommand's parser, like a bad option."""
+    """A bad option value fails inside argparse, through its own subcommand's parser, like a bad option."""
 
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["ghost", "1", "--count", "-1"], "--count must be at least 0"),
-            (["traces", "-", "--count", "-1"], "--count must be at least 0"),
-            (["fuzz", "--dim", "-1"], "--dim must be at least 0"),
-            (["check-exterior", "-", "--prime", "2", "--kmax", "0"], "--kmax must be at least 1"),
-            (["check-exterior", "-", "--prime", "4"], "4 is not prime"),
+            pytest.param(["ghost", "1", "--count", "-1"], "argument --count: must be at least 0", id="ghost"),
+            pytest.param(["traces", "-", "--count", "-1"], "argument --count: must be at least 0", id="traces"),
+            pytest.param(["fuzz", "--dim", "-1"], "argument --dim: must be at least 0", id="fuzz"),
+            pytest.param(
+                ["check-exterior", "-", "--prime", "2", "--kmax", "0"],
+                "argument --kmax: must be at least 1",
+                id="exterior-kmax",
+            ),
+            pytest.param(
+                ["check-exterior", "-", "--prime", "4"], "argument --prime: 4 is not prime", id="exterior-prime"
+            ),
+            # every integer option reads its value as a sequence reads an entry: int() would take these as 11 and 3
+            *(
+                pytest.param(
+                    [*argv, token], f"argument {argv[-1]}: invalid int value: {token!r}", id=f"{name}-{label}"
+                )
+                for name, argv in INTEGER_OPTIONS.items()
+                for label, token in (("underscore", "1_1"), ("non-ascii", "\u0663"))
+            ),
         ],
-        ids=["ghost", "traces", "fuzz", "exterior-kmax", "exterior-prime"],
     )
-    def test_usage_and_error_name_the_subcommand(self, capsys, argv, message):
+    def test_usage_and_error_name_the_subcommand(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr(sys, "stdin", io.StringIO('{"dim": 1, "entries": [[1]]}'))
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -466,6 +513,15 @@ class TestSubcommandValueErrors:
         assert captured.out == ""
         assert captured.err.startswith(f"usage: tracewitt {argv[0]} [-h] ")
         assert captured.err.endswith(f"\ntracewitt {argv[0]}: error: {message}\n")
+
+
+def test_cli_imports_no_private_library_name():
+    # the CLI is a client of the library's public surface
+    tree = ast.parse(inspect.getsource(tracewitt.cli))
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    names = [alias.name for node in imports for alias in node.names]
+    assert "parse_decimal" in names
+    assert [name for name in names if name.startswith("_")] == []
 
 
 class TestInputGrammar:
@@ -538,3 +594,12 @@ class TestDigitLimit:
         limit = sys.get_int_max_str_digits()
         assert main(["check-traces", "1,x"]) == 2
         assert sys.get_int_max_str_digits() == limit
+        with pytest.raises(SystemExit):
+            main(["ghost", "1", "--count", "x"])
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_long_option_value(self, capsys):
+        # an option's integer, like a sequence entry, may be longer than the cap
+        seed = "1" * 5000
+        assert main(["fuzz", "--trials", "1", "--dim", "1", "--seed", seed, "--format", "json", "--no-timestamp"]) == 0
+        assert f'"seed":{seed},' in capsys.readouterr().out

@@ -23,10 +23,13 @@ from tracewitt.cli import main
 
 # No digit of any script, so a junk token never reads as a number: numbers
 # come only from the bounded strategies below.  ODD holds tokens that the
-# grammar refuses, and two whose repr is long ("\U000e0000" has 10 characters).
+# grammar refuses, two whose repr is long ("\U000e0000" has 10 characters),
+# and three odd forms that it reads, as 1 or 0: any larger value could stand
+# for a bounded size (`--kmax " 7 "` with `--prime 11` checks levels up to
+# 11^7, which never ends).
 JUNK = st.text(max_size=40).filter(lambda s: not any(c.isdigit() for c in s))
 ODD = st.sampled_from(
-    ["1_0", "١٢", "１", " 7 ", "+3", "-0", "1/0", "2e1", ".5", "0x10", "nan", "-", "", "\x00" * 40, "\U000e0000" * 40]
+    ["1_0", "١٢", "１", " 1 ", "+1", "-0", "1/0", "2e1", ".5", "0x10", "nan", "-", "", "\x00" * 40, "\U000e0000" * 40]
 )
 SMALL = st.integers(-3, 3)
 BIG = st.integers(-(10**39), 10**39)  # at most 40 characters

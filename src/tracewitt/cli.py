@@ -27,7 +27,7 @@ from .congruences import (
     synthesize,
 )
 from .matrices import (
-    IntMatrix, char_poly_coeffs, encode_scalar, parse_decimal, parse_decimals, random_matrix, trace_sequence
+    IntMatrix, char_poly_coeffs, encode_int, encode_scalar, parse_decimal, parse_decimals, random_matrix, trace_sequence
 )
 from .newton import Scalar
 from .rng import SplitMix64
@@ -190,7 +190,7 @@ def run_fuzz(trials: int, dim: int, entry_bound: int, seed: int) -> dict:
 def cmd_fuzz(args) -> int:
     summary = run_fuzz(args.trials, args.dim, args.entry_bound, args.seed)
     if args.format == "json":
-        _emit_json(summary, args)
+        _emit_json({key: encode_int(v) if isinstance(v, int) else v for key, v in summary.items()}, args)
     else:
         for key in ("trials", "dim", "entry_bound", "seed", "trace_checks", "exterior_checks"):
             print(f"{key}: {summary[key]}")
@@ -271,9 +271,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _parser()
     argv = sys.argv[1:] if argv is None else argv
     # Exact inputs and results outgrow Python's default 4300-digit int/str cap.
-    saved_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if saved_limit:
-        sys.set_int_max_str_digits(0)
+    saved_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         # argparse takes "-2,3" or "-1/2" for an unknown option; after a space it is
         # an option value or the positional sequence, and every parser here strips it.
@@ -286,8 +285,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: input too large: {type(exc).__name__}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return INPUT_ERROR
     finally:
-        if saved_limit:
-            sys.set_int_max_str_digits(saved_limit)
+        sys.set_int_max_str_digits(saved_limit)
 
 
 if __name__ == "__main__":

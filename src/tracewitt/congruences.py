@@ -102,7 +102,7 @@ class CongruenceRow:
     def to_json_dict(self) -> dict:
         return {
             "n": encode_int(self.n),
-            "p": self.p,
+            "p": encode_int(self.p),
             "k": self.k,
             "lhs": encode_int(self.lhs),
             "rhs": encode_int(self.rhs),
@@ -143,7 +143,7 @@ class CongruenceReport:
         out: dict = {
             "overall": self.overall,
             "checks": [row.to_json_dict() for row in self.checks],
-            "policy": dict(self.policy),
+            "policy": {key: encode_int(v) if isinstance(v, int) else v for key, v in self.policy.items()},
         }
         if self.witness is not None:
             out["witness"] = [encode_scalar(x) for x in self.witness]

@@ -205,20 +205,16 @@ def char_poly_coeffs(f: IntMatrix) -> tuple[int, ...]:
     return tuple(c if i % 2 == 0 else -c for i, c in enumerate(poly[1:], start=1))
 
 
-def _det(rows: list[list[int]]) -> int:
-    """Determinant by cofactor expansion along the first row."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    for j, pivot in enumerate(rows[0]):
-        if pivot == 0:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = pivot * _det(minor)
-        total = total + term if j % 2 == 0 else total - term
+def _minor(entries: tuple[tuple[int, ...], ...], rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
+    """The minor of ``entries`` on the ascending index tuples ``rows`` and ``cols``, by
+    cofactor expansion along ``rows[0]``: no submatrix is built, zero entries are skipped."""
+    if len(rows) == 1:
+        return entries[rows[0]][cols[0]]
+    row, rest, total = entries[rows[0]], rows[1:], 0
+    for j, col in enumerate(cols):
+        if row[col]:
+            term = row[col] * _minor(entries, rest, cols[:j] + cols[j + 1 :])
+            total = total - term if j % 2 else total + term
     return total
 
 
@@ -233,10 +229,7 @@ def compound_matrix(f: IntMatrix, i: int) -> IntMatrix:
     if not 1 <= _exact_int(i, "i") <= f.dim:
         raise ValueError(f"minor size {i} out of range for dimension {f.dim}")
     subsets = list(combinations(range(f.dim), i))
-    entries = tuple(
-        tuple(_det([[f.entries[a][b] for b in cols] for a in rows]) for cols in subsets)
-        for rows in subsets
-    )
+    entries = tuple(tuple(_minor(f.entries, rows, cols) for cols in subsets) for rows in subsets)
     return IntMatrix(len(subsets), entries)
 
 

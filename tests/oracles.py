@@ -189,7 +189,7 @@ def report_json_by_rows(report) -> dict:
         "checks": [
             {
                 "n": json_int(row.n),
-                "p": row.p,
+                "p": json_int(row.p),
                 "k": row.k,
                 "lhs": json_int(row.lhs),
                 "rhs": json_int(row.rhs),
@@ -198,7 +198,7 @@ def report_json_by_rows(report) -> dict:
             }
             for row in report.checks
         ],
-        "policy": dict(report.policy),
+        "policy": {key: json_int(v) if isinstance(v, int) else v for key, v in report.policy.items()},
     }
     if report.witness is not None:
         out["witness"] = [json_scalar(x) for x in report.witness]

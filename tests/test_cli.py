@@ -163,6 +163,9 @@ class TestCharacterCommand:
         report = json.loads(proc.stdout)
         assert report["policy"]["kind"] == "character"
         assert "k_bounds" in report["policy"]
+        path.write_text(json.dumps({"order": 2, "values": {"0": 10**19, "1": 10**19}}))
+        proc = run_cli("check-character", str(path), "--format", "json", "--no-timestamp")
+        assert json.loads(proc.stdout)["policy"]["max_abs_value"] == str(10**19)
 
     def test_table_that_fails_only_past_k_1_exits_one(self, capsys, monkeypatch):
         table = {"order": 4, "values": {"0": 3, "1": 1, "2": 1, "3": 1}}
@@ -263,13 +266,19 @@ class TestFuzz:
                 "--format", "json", "--no-timestamp")
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
-    def test_summary_counts(self):
+    def test_summary_counts(self, capsys):
         summary = run_fuzz(trials=3, dim=2, entry_bound=2, seed=5)
         # 8 trace checks per trial (N=8: one row per prime-power part)
         assert summary["trials"] == 3
         assert summary["ok"] is True
         assert summary["trace_checks"] > 0
         assert summary["exterior_checks"] == 3 * 2 * 2 * 2  # trials * primes * k * dim
+        # JSON writes summary integers past 2^53 - 1 as strings, text as they are
+        argv = ["fuzz", "--trials", "1", "--dim", "1", "--seed", str(2**64), "--entry-bound", str(10**19)]
+        assert main([*argv, "--format", "json", "--no-timestamp"]) == 0
+        assert f'"entry_bound":"{10**19}","seed":"{2**64}",' in capsys.readouterr().out
+        assert main(argv) == 0
+        assert f"entry_bound: {10**19}\nseed: {2**64}\n" in capsys.readouterr().out
 
 
 class TestInProcessMain:
@@ -546,6 +555,9 @@ class TestInputGrammar:
         monkeypatch.setattr(sys, "stdin", io.StringIO('{"dim": 1, "entries": [["1_0"]]}'))
         assert main(["charpoly", "-"]) == 2
         assert "'1_0'" in capsys.readouterr().err
+        monkeypatch.setattr(sys, "stdin", io.StringIO('{"dim": 1, "entries": 5}'))
+        assert main(["charpoly", "-"]) == 2
+        assert capsys.readouterr().err == 'error: "entries" must be a list of rows\n'
 
     def test_plain_forms_still_accepted(self, capsys):
         assert main(["ghost", "1/2,.5,+3,-0.25,007,2e1", "--count", "1"]) == 0
@@ -602,4 +614,4 @@ class TestDigitLimit:
         # an option's integer, like a sequence entry, may be longer than the cap
         seed = "1" * 5000
         assert main(["fuzz", "--trials", "1", "--dim", "1", "--seed", seed, "--format", "json", "--no-timestamp"]) == 0
-        assert f'"seed":{seed},' in capsys.readouterr().out
+        assert f'"seed":"{seed}",' in capsys.readouterr().out

@@ -49,6 +49,9 @@ def test_is_prime_small_table():
     for factors in ((151, 751, 28351), (149491, 747451, 34233211), (399165290221, 798330580441)):
         assert not is_prime(prod(factors))
     assert is_prime(2**61 - 1) and is_prime(10**14 + 31) and not is_prime(10000004400000259)
+    # trial division decides n at or above the pseudoprime bound: composites with a small factor
+    # (a prime there would take days, so none is tested)
+    assert not any(map(is_prime, (3317044064679887385961982, 3 * 10**30, 7 * (2**89 - 1), 1009**9)))
     spf = smallest_prime_factors(2000)
     assert len(spf) == 2001 and spf[:2] == [0, 1]
     assert [n for n in range(2, 2001) if spf[n] == n] == sieve_primes(2000)

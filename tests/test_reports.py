@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from tracewitt import (
     CharacterTable,
+    IntMatrix,
     InvalidTraceSequenceError,
     check_character,
     check_matrix_congruences,
@@ -82,6 +83,11 @@ class TestReportWriters:
         assert_writers_match(CongruenceReport(()))
         assert_writers_match(check_trace_sequence([]))
         assert_writers_match(CongruenceReport((_row(2, 2, 1, 1, 0),), {}, (Fraction(1, 2), 3)))
+        # a prime past 2^53 - 1 is a string in the row and in the policy, like n and the modulus
+        big_p = check_matrix_congruences(IntMatrix.from_rows([[1]]), BIG + 5, 1)
+        assert_writers_match(big_p)
+        payload = big_p.to_json_dict()
+        assert payload["checks"][0]["p"] == payload["policy"]["p"] == str(BIG + 5)
 
     @pytest.mark.parametrize("traces", [[1, 3, 4, 7], [0, 1, -BIG, 2**80]])
     def test_cli_bytes(self, capsys, monkeypatch, traces):

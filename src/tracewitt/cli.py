@@ -17,12 +17,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from .congruences import (
+    SPRP_BOUND,
     CharacterTable,
     CongruenceReport,
     InvalidTraceSequenceError,
     check_character,
     check_trace_sequence,
-    exterior_rows,
+    exterior_levels,
     is_prime,
     synthesize,
 )
@@ -155,10 +156,7 @@ def cmd_check_character(args) -> int:
 
 
 def cmd_check_exterior(args) -> int:
-    matrix = _matrix(args)
-    rows = exterior_rows(matrix, args.prime, 1, args.kmax)
-    policy = {"kind": "exterior-power", "p": args.prime, "k_max": args.kmax, "dim": matrix.dim}
-    return _emit_report(CongruenceReport(tuple(rows), policy), args)
+    return _emit_report(exterior_levels(_matrix(args), args.prime, args.kmax), args)
 
 
 def run_fuzz(trials: int, dim: int, entry_bound: int, seed: int) -> dict:
@@ -171,7 +169,7 @@ def run_fuzz(trials: int, dim: int, entry_bound: int, seed: int) -> dict:
         matrix = random_matrix(dim, entry_bound, trial_seed)
         checks = [("trace", check_trace_sequence(trace_sequence(matrix, 4 * dim)).checks)]
         if 1 <= dim <= 4:
-            checks += [("exterior", exterior_rows(matrix, p, 1, 2)) for p in (2, 3)]
+            checks += [("exterior", exterior_levels(matrix, p, 2).checks) for p in (2, 3)]
         for kind, rows in checks:
             counts[kind] += len(rows)
             violations += ({"trial": index, "kind": kind, "n": row.n, "p": row.p} for row in rows if not row.passed)
@@ -211,6 +209,8 @@ def _integer(low: int | None = None, prime: bool = False):
         value = parse_decimal(token)
         if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}")
+        if prime and value >= SPRP_BOUND:  # is_prime would fall back to trial division
+            raise argparse.ArgumentTypeError(f"must be below {SPRP_BOUND}")
         if prime and not is_prime(value):
             raise argparse.ArgumentTypeError(f"{value} is not prime")
         return value

@@ -17,7 +17,7 @@ verdict, so failures are self-explaining.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
@@ -41,13 +41,14 @@ from .witt import _witt, factor, smallest_prime_factors
 
 
 _SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+SPRP_BOUND = 3317044064679887385961981  # the least strong pseudoprime to every base above
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality.  Below 3317044064679887385961981, the least strong
-    pseudoprime to the prime bases 2..41, strong probable-prime tests to those bases
-    decide it (Sorenson and Webster, Math. Comp. 86, 2017); trial division above."""
-    if _exact_int(n, "n") >= 3317044064679887385961981:
+    """Deterministic primality.  Below SPRP_BOUND, the least strong pseudoprime to the
+    prime bases 2..41, strong probable-prime tests to those bases decide it (Sorenson
+    and Webster, Math. Comp. 86, 2017); trial division at and above it."""
+    if _exact_int(n, "n") >= SPRP_BOUND:
         return next(factor(n)) == (n, 1)
     if n < 2 or any(n % a == 0 for a in _SPRP_BASES):
         return n in _SPRP_BASES
@@ -204,10 +205,8 @@ def synthesize(traces: Sequence[int]) -> IntMatrix:
     Raises :class:`InvalidTraceSequenceError`, carrying the failing report
     rows and the Witt witness, when the sequence is not a trace sequence.
     """
-    report = check_trace_sequence(traces)  # the one input check
-    if not report.overall:
-        witness = tuple(map(Fraction, _witt(traces)))
-        raise InvalidTraceSequenceError(replace(report, witness=witness))
+    if not check_trace_sequence(traces).overall:  # the one input check
+        raise InvalidTraceSequenceError(check_trace_sequence(traces, with_witness=True))
     coeffs = _traces_to_elementary(traces)  # ints, since the congruences hold
     degree = len(coeffs)
     while degree and coeffs[degree - 1] == 0:
@@ -303,20 +302,20 @@ def check_exterior_congruence(f: IntMatrix, p: int, k: int) -> CongruenceReport:
     determinant congruence ``det(f^(p^k)) == det(f^(p^(k-1))) (mod p^k)``.
     """
     _require_prime(p, k)
-    policy = {"kind": "exterior-power", "p": p, "k": k, "dim": f.dim}
-    return CongruenceReport(tuple(exterior_rows(f, p, k, k)), policy)
+    rows = tuple(row for row in exterior_levels(f, p, k).checks if row.k == k)
+    return CongruenceReport(rows, {"kind": "exterior-power", "p": p, "k": k, "dim": f.dim})
 
 
-def exterior_rows(f: IntMatrix, p: int, k_first: int, k_last: int) -> list[CongruenceRow]:
-    """Rows of :func:`check_exterior_congruence` for k = k_first..k_last: the coefficients
-    of ``det(1 + t*f^(p^k))``, k = 0..k_last, by root powering from chi (Newton and the
-    trace recurrence alone, no matrix power), each level used twice."""
-    levels = list(accumulate(repeat(p, k_last), _pth_power, initial=char_poly_coeffs(f)))
+def exterior_levels(f: IntMatrix, p: int, k_max: int) -> CongruenceReport:
+    """:func:`check_exterior_congruence` for k = 1..k_max in one report, p prime and k_max >= 1
+    checked by the caller: ``det(1 + t*f^(p^k))``, k = 0..k_max, by root powering from chi
+    (Newton and the trace recurrence alone, no matrix power), each level computed once."""
+    levels = list(accumulate(repeat(p, k_max), _pth_power, initial=char_poly_coeffs(f)))
     rows = []
-    for k in range(k_first, k_last + 1):
+    for k in range(1, k_max + 1):
         pairs = enumerate(zip(levels[k], levels[k - 1]), start=1)
         rows += (_row(i, p, k, high, low) for i, (high, low) in pairs)
-    return rows
+    return CongruenceReport(tuple(rows), {"kind": "exterior-power", "p": p, "k_max": k_max, "dim": f.dim})
 
 
 def exterior_via_compound(f: IntMatrix, p: int, k: int) -> CongruenceReport:

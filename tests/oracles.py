@@ -8,6 +8,7 @@ shares no code with the package under test.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 
 Rows = list[list[int]]
@@ -166,6 +167,36 @@ def character_violations(order: int, values: list[int], primes: list[int], k_max
             if (lhs - rhs) % p**k != 0:
                 bad.append((p, k))
     return bad
+
+
+def partitions(n: int, largest: int | None = None) -> list[tuple[int, ...]]:
+    """The partitions of n, parts descending, in reverse lexicographic order."""
+    largest = n if largest is None else largest
+    if n == 0:
+        return [()]
+    return [(k, *rest) for k in range(min(n, largest), 0, -1) for rest in partitions(n - k, k)]
+
+
+@cache
+def murnaghan_nakayama(shape: tuple[int, ...], cycle_type: tuple[int, ...]) -> int:
+    """The irreducible character chi^shape of S_n at a permutation of the given cycle type.
+
+    On the beta-set {shape_i + m - i} of an m-part shape, removing a rim hook of length r
+    moves one bead b to the empty position b - r, with sign (-1)^(beads strictly between);
+    the rule sums over those moves for the first cycle (Sagan, The Symmetric Group, §4.10).
+    """
+    if not cycle_type:
+        return 1
+    r, rest, m = cycle_type[0], cycle_type[1:], len(shape)
+    beta = {part + m - 1 - i for i, part in enumerate(shape)}
+    total = 0
+    for b in beta:
+        if b >= r and b - r not in beta:
+            moved = sorted(beta - {b} | {b - r}, reverse=True)
+            smaller = tuple(x - (m - 1 - i) for i, x in enumerate(moved))
+            sign = (-1) ** sum(b - r < c < b for c in beta)
+            total += sign * murnaghan_nakayama(tuple(x for x in smaller if x), rest)
+    return total
 
 
 JSON_SAFE_INT = 2**53 - 1

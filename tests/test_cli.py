@@ -503,6 +503,17 @@ class TestSubcommandValueErrors:
             pytest.param(
                 ["check-exterior", "-", "--prime", "4"], "argument --prime: 4 is not prime", id="exterior-prime"
             ),
+            # at and above the bound is_prime is trial division: days on this 25-digit semiprime
+            pytest.param(
+                ["check-exterior", "-", "--prime", "3317044064679887385961981"],
+                "argument --prime: must be below 3317044064679887385961981",
+                id="exterior-prime-bound",
+            ),
+            pytest.param(
+                ["check-exterior", "-", "--prime", "3317044064679887385961980"],
+                "argument --prime: 3317044064679887385961980 is not prime",
+                id="exterior-prime-below-bound",
+            ),
             # every integer option reads its value as a sequence reads an entry: int() would take these as 11 and 3
             *(
                 pytest.param(

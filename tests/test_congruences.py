@@ -4,7 +4,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -35,8 +35,10 @@ from tracewitt.witt import factor, smallest_prime_factors
 from .oracles import (
     char_coeffs_perm,
     character_violations,
+    murnaghan_nakayama,
     naive_pow,
     naive_trace,
+    partitions,
     sieve_primes,
 )
 
@@ -406,6 +408,23 @@ class TestCheckCharacter:
     def test_order_one_vacuous(self):
         assert check_character(CharacterTable(1, (7,))).overall
 
+    def test_symmetric_group_characters_pass(self):
+        # the paper's own example: every irreducible character of S_n, n <= 10, on the powers of an
+        # element of every cycle type; in g^e each l-cycle is gcd(l, e) cycles of length l / gcd(l, e)
+        tables = 0
+        for n in range(1, 11):
+            for cycle_type in partitions(n):
+                order = lcm(*cycle_type)
+                powers = [
+                    tuple(sorted((l // gcd(l, e) for l in cycle_type for _ in range(gcd(l, e))), reverse=True))
+                    for e in range(order)
+                ]
+                for shape in partitions(n):
+                    table = CharacterTable(order, tuple(murnaghan_nakayama(shape, c) for c in powers))
+                    assert check_character(table).overall, (shape, cycle_type)
+                    tables += 1
+        assert tables == 3582
+
     @settings(deadline=None)
     @given(
         st.integers(min_value=2, max_value=10),
@@ -456,7 +475,7 @@ def test_root_powering_needs_no_polynomial_powers(monkeypatch):
     trace recurrence and the ghost sieve: with ``x^m mod chi`` disabled at
     every binding site only the matrix check stops."""
     from tracewitt import coeffs_to_witt, witt_to_coeffs
-    from tracewitt.congruences import exterior_rows
+    from tracewitt.congruences import exterior_levels
 
     def refuse(*args):
         raise AssertionError("polynomial power mod chi")
@@ -471,7 +490,7 @@ def test_root_powering_needs_no_polynomial_powers(monkeypatch):
         check_matrix_congruences(f, 2, 3)
     assert check_exterior_congruence(f, 3, 2).overall
     compound = [row for k in (2, 3) for row in exterior_via_compound(f, 2, k).checks]
-    assert [(r.n, r.lhs, r.rhs, r.modulus) for r in exterior_rows(f, 2, 2, 3)] == [
+    assert [(r.n, r.lhs, r.rhs, r.modulus) for r in exterior_levels(f, 2, 3).checks[f.dim :]] == [
         (r.n, r.lhs, r.rhs, r.modulus) for r in compound
     ]
     assert witt_to_coeffs(coeffs_to_witt((1, -1, 3), 30), 3) == (1, -1, 3)
@@ -527,13 +546,14 @@ def test_float_and_bool_traces_rejected(call):
     st.integers(min_value=0, max_value=5),
     st.integers(min_value=0, max_value=2**32),
     st.sampled_from([2, 3, 5]),
-    st.integers(min_value=1, max_value=3),
-    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=1, max_value=6),
 )
-def test_exterior_rows_match_one_level_at_a_time(dim, seed, p, k_first, extra):
-    from tracewitt.congruences import exterior_rows
+def test_exterior_levels_match_one_level_at_a_time(dim, seed, p, k_max):
+    """Every range of levels k_first..k_last <= k_max is a slice of this comparison."""
+    from tracewitt.congruences import exterior_levels
 
     f = random_matrix(dim, 3, seed)
-    levels = range(k_first, k_first + extra + 1)
-    one_at_a_time = [row for k in levels for row in check_exterior_congruence(f, p, k).checks]
-    assert exterior_rows(f, p, levels[0], levels[-1]) == one_at_a_time
+    report = exterior_levels(f, p, k_max)
+    one_at_a_time = [row for k in range(1, k_max + 1) for row in check_exterior_congruence(f, p, k).checks]
+    assert report.checks == tuple(one_at_a_time)
+    assert report.policy == {"kind": "exterior-power", "p": p, "k_max": k_max, "dim": dim}

@@ -1,6 +1,8 @@
 """Sanity checks on the oracles themselves against hand-computed values."""
 
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 
 from .oracles import (
     char_coeffs_perm,
@@ -9,8 +11,10 @@ from .oracles import (
     fib,
     ghost_by_definition,
     lucas,
+    murnaghan_nakayama,
     naive_mul,
     naive_pow,
+    partitions,
     perm_sign,
     poly_mul_trunc,
     series_traces,
@@ -90,3 +94,19 @@ def test_ghost_and_witt_by_definition_hand_values():
     assert ghost_by_definition(x, 6)[5] == 2**6 + 2 * 3**3 + 3 * 5**2
     assert witt_by_definition(b) == x
     assert witt_by_definition([0, 1]) == [0, Fraction(1, 2)]
+
+
+def test_murnaghan_nakayama_known_characters():
+    assert partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    assert [murnaghan_nakayama((2, 2), c) for c in partitions(4)] == [0, -1, 2, 0, 2]
+    for n in range(1, 11):
+        shapes = partitions(n)
+        assert sum(murnaghan_nakayama(shape, (1,) * n) ** 2 for shape in shapes) == factorial(n)
+        for c in shapes:
+            # column orthogonality: the squares sum to the centralizer order, prod of l^m * m!
+            centralizer = prod(l**m * factorial(m) for l, m in Counter(c).items())
+            assert sum(murnaghan_nakayama(shape, c) ** 2 for shape in shapes) == centralizer
+            assert murnaghan_nakayama((n,), c) == 1
+            assert murnaghan_nakayama((1,) * n, c) == (-1) ** (n - len(c))  # the sign character
+            if n >= 2:
+                assert murnaghan_nakayama((n - 1, 1), c) == c.count(1) - 1  # fixed points - 1

@@ -23,7 +23,7 @@ from tracewitt import (
     trace_sequence,
 )
 from tracewitt.cli import _report_text, main
-from tracewitt.congruences import CongruenceReport, CongruenceRow, _row, exterior_rows
+from tracewitt.congruences import CongruenceReport, CongruenceRow, _row, exterior_levels
 from tracewitt.matrices import encode_scalar
 
 from .oracles import json_scalar, report_json_by_rows, report_text_by_rows
@@ -70,12 +70,12 @@ class TestReportWriters:
     def test_matrix_and_exterior_reports(self, dim, seed, p, k):
         f = random_matrix(dim, 4, seed)
         assert_writers_match(check_matrix_congruences(f, p, k))
-        policy = {"kind": "exterior-power", "p": p, "k_max": k, "dim": dim}
-        assert_writers_match(CongruenceReport(tuple(exterior_rows(f, p, 1, k)), policy))
+        assert_writers_match(exterior_levels(f, p, k))
 
     def test_synthesize_failure_report_carries_its_witness(self):
         with pytest.raises(InvalidTraceSequenceError) as exc:
             synthesize([1, 3, 5, 7, BIG])
+        assert exc.value.report == check_trace_sequence([1, 3, 5, 7, BIG], with_witness=True)
         assert exc.value.report.witness is not None
         assert_writers_match(exc.value.report)
 

@@ -12,7 +12,6 @@ import functools
 import json
 import re
 import sys
-from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Sequence
 
@@ -68,6 +67,7 @@ def _matrix(args) -> IntMatrix:
 
 def _emit_json(payload: dict, args) -> None:
     if not args.no_timestamp:
+        from datetime import datetime, timezone  # here, not at the top: only a stamp needs it
         payload["timestamp"] = datetime.now(timezone.utc).isoformat()
     print(json.dumps(payload, separators=(",", ":")))
 

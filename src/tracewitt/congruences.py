@@ -301,15 +301,15 @@ def check_exterior_congruence(f: IntMatrix, p: int, k: int) -> CongruenceReport:
     against that of ``f^(p^(k-1))`` modulo p^k.  The top row (i = r) is the
     determinant congruence ``det(f^(p^k)) == det(f^(p^(k-1))) (mod p^k)``.
     """
-    _require_prime(p, k)
-    rows = tuple(row for row in exterior_levels(f, p, k).checks if row.k == k)
+    rows = tuple(row for row in exterior_levels(f, p, _exact_int(k, "k", 1)).checks if row.k == k)
     return CongruenceReport(rows, {"kind": "exterior-power", "p": p, "k": k, "dim": f.dim})
 
 
 def exterior_levels(f: IntMatrix, p: int, k_max: int) -> CongruenceReport:
-    """:func:`check_exterior_congruence` for k = 1..k_max in one report, p prime and k_max >= 1
-    checked by the caller: ``det(1 + t*f^(p^k))``, k = 0..k_max, by root powering from chi
-    (Newton and the trace recurrence alone, no matrix power), each level computed once."""
+    """:func:`check_exterior_congruence` for k = 1..k_max in one report, p prime and k_max >= 1:
+    ``det(1 + t*f^(p^k))``, k = 0..k_max, by root powering from chi (Newton and the trace
+    recurrence alone, no matrix power), each level computed once."""
+    _require_prime(p, k_max, "k_max")
     levels = list(accumulate(repeat(p, k_max), _pth_power, initial=char_poly_coeffs(f)))
     rows = []
     for k in range(1, k_max + 1):

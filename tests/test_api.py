@@ -1,6 +1,8 @@
 """The package's public surface: each module's ``__all__``, re-exported once."""
 
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -109,3 +111,15 @@ def test_integer_parameters_refuse_floats_bools_and_values_below_their_bound(cal
     if low is not None:
         with pytest.raises(ValueError, match=rf"^{name} must be at least {low}$"):
             call(low - 1)
+
+
+def test_imports_stay_lazy():
+    # import cost is paid by every one-shot process: the library loads no CLI, and datetime is
+    # imported only when a JSON timestamp is written
+    probe = (
+        "import sys; watched = ('tracewitt.cli', 'datetime');"
+        "import tracewitt; print([m for m in watched if m in sys.modules]);"
+        "import tracewitt.cli; print([m for m in watched if m in sys.modules])"
+    )
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines() == ["[]", "['tracewitt.cli']"]

@@ -29,7 +29,7 @@ from tracewitt import (
     synthesize,
     trace_sequence,
 )
-from tracewitt.congruences import CongruenceRow
+from tracewitt.congruences import CongruenceRow, exterior_levels
 from tracewitt.witt import factor, smallest_prime_factors
 
 from .oracles import (
@@ -326,10 +326,22 @@ class TestExteriorCongruence:
 
     def test_rejects_bad_args(self):
         f = random_matrix(2, 2, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^9 is not prime$"):
             check_exterior_congruence(f, 9, 1)
+        with pytest.raises(ValueError, match="^k must be at least 1$"):
+            check_exterior_congruence(f, 2, 0)
+        with pytest.raises(ValueError, match="^k must be at least 1$"):
+            check_exterior_congruence(f, 9, 0)  # k is read first, then the kernel reads p
         with pytest.raises(ValueError):
             exterior_via_compound(f, 2, 0)
+        # the kernel checks its own arguments: zero rows, rows "mod 4^1" and k_max = True as 1 never run
+        for p, k_max, message in [
+            (2, 0, "k_max must be at least 1"),
+            (4, 1, "4 is not prime"),
+            (2, True, "k_max must be an int, got True"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                exterior_levels(f, p, k_max)
 
 
 class TestCharacterTable:
@@ -475,7 +487,6 @@ def test_root_powering_needs_no_polynomial_powers(monkeypatch):
     trace recurrence and the ghost sieve: with ``x^m mod chi`` disabled at
     every binding site only the matrix check stops."""
     from tracewitt import coeffs_to_witt, witt_to_coeffs
-    from tracewitt.congruences import exterior_levels
 
     def refuse(*args):
         raise AssertionError("polynomial power mod chi")
@@ -550,8 +561,6 @@ def test_float_and_bool_traces_rejected(call):
 )
 def test_exterior_levels_match_one_level_at_a_time(dim, seed, p, k_max):
     """Every range of levels k_first..k_last <= k_max is a slice of this comparison."""
-    from tracewitt.congruences import exterior_levels
-
     f = random_matrix(dim, 3, seed)
     report = exterior_levels(f, p, k_max)
     one_at_a_time = [row for k in range(1, k_max + 1) for row in check_exterior_congruence(f, p, k).checks]

@@ -40,8 +40,8 @@ for row in ext.checks:
 print(f"  overall: {ext.overall}")
 print()
 
-print("The exterior-power route computes the identical rows from traces of")
-print("compound matrices (the i-th compound lists all i x i minors):")
+print("The exterior-power route computes the identical rows from minors: a_i of")
+print("f^(p^k) is the trace of its i-th compound, the sum of its principal i x i minors:")
 via = exterior_via_compound(f, 3, 1)
 assert [(r.lhs, r.rhs) for r in via.checks] == [(r.lhs, r.rhs) for r in ext.checks]
 print("  identical, row for row (asserted)")

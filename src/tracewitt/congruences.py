@@ -20,15 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate, combinations, repeat
 from operator import mul
 from typing import NamedTuple, Sequence
 
 from .matrices import (
     IntMatrix,
+    _minor,
     char_poly_coeffs,
     companion_matrix,
-    compound_matrix,
     decode_int,
     decode_object,
     encode_int,
@@ -319,21 +319,20 @@ def exterior_levels(f: IntMatrix, p: int, k_max: int) -> CongruenceReport:
 
 
 def exterior_via_compound(f: IntMatrix, p: int, k: int) -> CongruenceReport:
-    """The same congruences as :func:`check_exterior_congruence`, computed
-    through exterior powers instead of characteristic polynomials.
-
-    Because the minor construction respects products, the i-th coefficient
-    of ``det(1 + t*f^(p^k))`` equals ``trace(compound(f, i)^(p^k))``; row i
-    checks that trace against the p^(k-1) one.  Both routes must produce
-    identical values row for row, which makes each a cross-check of the
-    other.
+    """The same congruences as :func:`check_exterior_congruence`, from dense powers and minors
+    instead of characteristic polynomials: the i-th coefficient of ``det(1 + t*g)`` is
+    ``trace(compound(g, i))``, the sum of the principal i x i minors of g, and by Cauchy-Binet
+    ``compound(f, i)^(p^k) == compound(f^(p^k), i)``, so only the r x r powers ``f^(p^(k-1))``
+    and ``f^(p^k)`` are built.  The two routes must agree row for row, each a cross-check of
+    the other.
     """
     _require_prime(p, k)
+    low = mat_pow(f, p ** (k - 1))
+    powers = (mat_pow(low, p).entries, low.entries)
     rows = []
     for i in range(1, f.dim + 1):
-        wedge = compound_matrix(f, i)
-        low = mat_pow(wedge, p ** (k - 1))
-        rows.append(_row(i, p, k, mat_pow(low, p).trace(), low.trace()))
+        principal = list(combinations(range(f.dim), i))
+        rows.append(_row(i, p, k, *(sum(_minor(g, s, s) for s in principal) for g in powers)))
     policy = {"kind": "exterior-power-compound", "p": p, "k": k, "dim": f.dim}
     return CongruenceReport(tuple(rows), policy)
 

@@ -206,10 +206,13 @@ def char_poly_coeffs(f: IntMatrix) -> tuple[int, ...]:
 
 
 def _minor(entries: tuple[tuple[int, ...], ...], rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
-    """The minor of ``entries`` on the ascending index tuples ``rows`` and ``cols``, by
-    cofactor expansion along ``rows[0]``: no submatrix is built, zero entries are skipped."""
+    """The minor of ``entries`` on the ascending index tuples ``rows`` and ``cols``: two base
+    cases (1x1, closed 2x2), else cofactor expansion along ``rows[0]`` skipping zero entries."""
     if len(rows) == 1:
         return entries[rows[0]][cols[0]]
+    if len(rows) == 2:
+        (a, b), (c, d) = rows, cols
+        return entries[a][c] * entries[b][d] - entries[a][d] * entries[b][c]
     row, rest, total = entries[rows[0]], rows[1:], 0
     for j, col in enumerate(cols):
         if row[col]:

@@ -221,6 +221,25 @@ class TestCompound:
             got = compound_matrix(f, i)
             assert [list(r) for r in got.entries] == compound_perm(rows, i)
 
+    # C(7, i)^2 = 1225 minors; with a closed 2x2 case each 3x3 minor costs 1 + 3 calls and each
+    # 4x4 minor 1 + 4 + 4*3; expanding down to 1x1 would cost 10 and 41 (12,250 and 50,225 calls)
+    @pytest.mark.parametrize("i, calls", [(3, 4_900), (4, 20_825)])
+    def test_minor_calls_stop_at_two_by_two(self, monkeypatch, i, calls):
+        gen = SplitMix64(7)
+        f = IntMatrix.from_rows([[gen.integer(1, 3) for _ in range(7)] for _ in range(7)])
+        calls_made, minor = [], matrices._minor
+        monkeypatch.setattr(matrices, "_minor", lambda *args: calls_made.append(1) or minor(*args))
+        compound_matrix(f, i)
+        assert len(calls_made) == calls
+
+    # the hypothesis oracle stops at dim 6; these are the bench's largest cells, on a matrix with zeros
+    @pytest.mark.parametrize("i", [2, 3, 4])
+    def test_dim_seven_matches_minor_oracle(self, i):
+        f = random_matrix(7, 3, 3)
+        rows = [list(r) for r in f.entries]
+        assert 0 in sum(rows, [])
+        assert [list(r) for r in compound_matrix(f, i).entries] == compound_perm(rows, i)
+
     def test_first_compound_is_self(self):
         f = IntMatrix.from_rows([[1, 2], [3, 4]])
         assert compound_matrix(f, 1) == f

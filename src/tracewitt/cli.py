@@ -46,8 +46,13 @@ def _rational(token: str) -> Scalar:
 
 
 def _sequence(args, convert=int, what: str = "integer") -> tuple:
-    """The comma- or space-separated sequence argument, read from stdin for '-'."""
+    """The comma- or space-separated sequence argument, read from stdin for '-'.  Once the
+    text holds a comma, every comma-separated field must hold a value."""
     text = sys.stdin.read() if args.values == "-" else args.values
+    wrapped = f",{text},"
+    empty = "," in text and re.search(r",\s*,", wrapped)  # a regex scan, cheaper than splitting into fields
+    if empty:
+        raise ValueError(f"empty entry at position {wrapped.count(',', 0, empty.start()) + 1}")
     return parse_decimals(text.replace(",", " ").split(), convert, what)
 
 

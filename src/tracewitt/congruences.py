@@ -27,6 +27,7 @@ from typing import NamedTuple, Sequence
 from .matrices import (
     IntMatrix,
     _minor,
+    _power,
     char_poly_coeffs,
     companion_matrix,
     decode_int,
@@ -245,16 +246,6 @@ def _mul_mod(u: list[int], v: list[int], signed: Sequence[int]) -> list[int]:
     return prod
 
 
-def _pow_mod(u: list[int], e: int, signed: Sequence[int]) -> list[int]:
-    """``u^e mod chi`` by square-and-multiply, for e >= 1."""
-    result = u
-    for bit in bin(e)[3:]:
-        result = _mul_mod(result, result, signed)
-        if bit == "1":
-            result = _mul_mod(result, u, signed)
-    return result
-
-
 def _pth_power(coeffs: Sequence[int], p: int) -> tuple[int, ...]:
     """Coefficients of ``det(1 + t*f^p)`` from those of ``det(1 + t*f)``: the
     traces of f^p are every p-th trace of f (Graeffe's root powering), and
@@ -277,14 +268,14 @@ def check_matrix_congruences(f: IntMatrix, p: int, k_max: int) -> CongruenceRepo
     in ``n`` and the modulus exponent k-j+1 in ``k``.
     """
     _require_prime(p, k_max, "k_max")
-    # tr(f^(p^k)) is u = x^(p^k) mod chi dotted with the traces (r, b_1, ..., b_r). A reduced u
-    # has at most r terms; b_r is read only at dim 1, by the start u = x, not yet reduced mod chi.
+    # tr(f^(p^k)) is u = x^(p^k) mod chi, at most r terms, dotted with the traces (r, b_1, ..., b_(r-1)).
     # Root powering (_pth_power) would carry all of det(1 + t*f^(p^k)), integers about r
     # times longer: 1.7x slower at dims 8-12, p^k = 49..125, and 0.16 -> 2.6 s at dim 6, p^k = 2^16.
     coeffs = char_poly_coeffs(f)
     signed = [a if i % 2 else -a for i, a in enumerate(coeffs, start=1)]
-    basis = (f.dim, *_elementary_to_traces(coeffs, f.dim))
-    powers = accumulate(repeat(p, k_max), lambda u, e: _pow_mod(u, e, signed), initial=[0, 1])
+    basis = (f.dim, *_elementary_to_traces(coeffs, f.dim - 1))
+    x = _mul_mod([0, 1], [1], signed)  # reduced like every later power: at dim 1 the constant b_1
+    powers = accumulate(repeat(p, k_max), lambda u, e: _power(u, e, lambda a, b: _mul_mod(a, b, signed)), initial=x)
     power_traces = [sum(map(mul, u, basis)) for u in powers]
     rows = []
     for k in range(1, k_max + 1):

@@ -158,18 +158,21 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return IntMatrix(n, product)
 
 
-def mat_pow(f: IntMatrix, n: int) -> IntMatrix:
-    """``f**n`` by repeated squaring from the lowest set bit: ``f**0`` is the
-    identity, and n >= 1 costs ``n.bit_length() + popcount(n) - 2`` products."""
-    result = None if _exact_int(n, "n", 0) else IntMatrix.identity(f.dim)
-    base = f
-    while n:
-        if n & 1:
-            result = base if result is None else mat_mul(result, base)
-        n >>= 1
-        if n:
-            base = mat_mul(base, base)
+def _power(x, n: int, mul: Callable):
+    """``x**n`` under the product ``mul``, for n >= 1, by square-and-multiply from the top bit:
+    ``n.bit_length() - 1`` squarings and ``popcount(n) - 1`` products by x."""
+    result = x
+    for bit in bin(n)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, x)
     return result
+
+
+def mat_pow(f: IntMatrix, n: int) -> IntMatrix:
+    """``f**n``: the identity for n = 0, else :func:`_power` over :func:`mat_mul` (the ladder that
+    ``check_matrix_congruences`` runs mod chi), at ``n.bit_length() + popcount(n) - 2`` products."""
+    return _power(f, n, mat_mul) if _exact_int(n, "n", 0) else IntMatrix.identity(f.dim)
 
 
 def trace_sequence(f: IntMatrix, n_max: int) -> tuple[int, ...]:

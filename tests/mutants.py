@@ -25,6 +25,13 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 TWO_BY_TWO = "entries[a][c] * entries[b][d] - entries[a][d] * entries[b][c]"
+PARSE_ARGS = r'''args = parser.parse_args([" " + a if re.match(r"-\.?\d", a) else a for a in argv])'''
+X_MOD_CHI = "x = _mul_mod([0, 1], [1], signed)  # reduced like every later power: at dim 1 the constant b_1"
+TOEPLITZ = "toeplitz = [1, -row[k]] + [0] * k"
+KRYLOV = "col = [sum(map(mul, r, col)) for r in block]"
+ROOT_POWERING = "powered = _traces_to_elementary(_elementary_to_traces(coeffs, len(coeffs) * p)[p - 1 :: p])"
+SPRP_CHAIN = "if x != 1 and n - 1 not in accumulate(repeat(n, s - 1), lambda y, m: y * y % m, initial=x):"
+VERDICT = '''verdict = "PASS" if report.overall else f"FAIL ({columns[5].count('FAIL')} of {len(rows)} checks)"'''
 
 
 class Mutant(NamedTuple):
@@ -64,6 +71,43 @@ MUTANTS = (
     ),
     # the cross-check raises f^(p^(k-1)) to p, not f
     Mutant("congruences.py", "mat_pow(low, p)", "mat_pow(f, p)", "test_congruences.py"),
+    # main shields a positional that starts with "-." from argparse, as it does "-2" and "-1/2"
+    Mutant("cli.py", PARSE_ARGS, PARSE_ARGS.replace(r"-\.?\d", r"-\d"), "test_cli.py"),
+    # square-and-multiply: the top bit is the start, and a one bit multiplies by the base
+    Mutant("matrices.py", "for bit in bin(n)[3:]:", "for bit in bin(n)[2:]:", "test_matrices.py"),
+    Mutant("matrices.py", 'if bit == "1":', 'if bit == "0":', "test_matrices.py"),
+    # the matrix check starts from x reduced mod chi, which at dim 1 is a constant
+    Mutant(
+        "congruences.py",
+        X_MOD_CHI,
+        X_MOD_CHI.replace("_mul_mod([0, 1], [1], signed)", "[0, 1]"),
+        "test_congruences.py",
+    ),
+    # Berkowitz: the sign of the corner term, and the Krylov update over all of f_k
+    Mutant("matrices.py", TOEPLITZ, TOEPLITZ.replace("-row[k]", "row[k]"), "test_matrices.py"),
+    Mutant("matrices.py", KRYLOV, KRYLOV.replace("in block]", "in block[1:]]"), "test_matrices.py"),
+    # reduction mod chi, root powering's every p-th trace, the row's modulus, the SPRP chain
+    Mutant("congruences.py", "prod[-i] += s * top", "prod[-i] -= s * top", "test_congruences.py"),
+    Mutant("congruences.py", ROOT_POWERING, ROOT_POWERING.replace("[p - 1 :: p]", "[p :: p]"), "test_congruences.py"),
+    Mutant(
+        "congruences.py",
+        "passed = (lhs - rhs) % modulus == 0",
+        "passed = (lhs - rhs) % p == 0",
+        "test_congruences.py",
+    ),
+    Mutant("congruences.py", SPRP_CHAIN, SPRP_CHAIN.replace("n - 1 not in", "n + 1 not in"), "test_congruences.py"),
+    # the Witt sieve's first multiple of n is 2n, at index 2n - 1; each ghost term carries its d
+    Mutant(
+        "witt.py",
+        "for m in range(2 * n - 1, len(residues), n):",
+        "for m in range(2 * n, len(residues), n):",
+        "test_witt.py",
+    ),
+    Mutant("witt.py", "ghosts[d - 1] += d * x", "ghosts[d - 1] += x", "test_witt.py"),
+    # Newton's identities: the n * e_n term
+    Mutant("newton.py", "acc += n * signed[n - 1]", "acc += signed[n - 1]", "test_newton.py"),
+    # the report counts its failing rows
+    Mutant("cli.py", VERDICT, VERDICT.replace("count('FAIL')", "count('PASS')"), "test_reports.py"),
 )
 
 

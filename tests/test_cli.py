@@ -582,6 +582,31 @@ class TestInputGrammar:
         assert "xxx" in err
         assert len(err) < 80
 
+    @pytest.mark.parametrize(
+        "argv, position",
+        [(["check-traces", "1,,3"], 2), (["check-traces", "1,3,"], 3), (["witt", ",2"], 1)],
+    )
+    def test_empty_entry_is_an_input_error(self, capsys, argv, position):
+        # dropping the empty field would move every later value to another index
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: empty entry at position {position}\n")
+
+    @pytest.mark.parametrize(
+        "argv, stdin", [(["1, 3"], ""), (["1 3 4"], ""), (["-"], "1,3\n"), ([""], ""), (["5"], "")]
+    )
+    def test_separators_without_an_empty_entry_still_accepted(self, capsys, monkeypatch, argv, stdin):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        assert main(["check-traces", *argv]) == 0
+        assert capsys.readouterr().out.startswith(("n  p^k", "overall: PASS"))
+
+    @pytest.mark.parametrize(
+        "values, count, out", [("-.5", "2", "-1/2,1/4"), ("-.5,.25", "3", "-1/2,3/4,-1/8")]
+    )
+    def test_positional_starting_with_minus_point(self, capsys, values, count, out):
+        # argparse reads a lone "-.5" as a negative number, but "-.5,.25" as an unknown option
+        assert main(["ghost", values, "--count", count]) == 0
+        assert capsys.readouterr() == (out + "\n", "")
+
 
 class TestDeepJson:
     @pytest.mark.parametrize(

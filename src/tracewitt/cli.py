@@ -47,13 +47,15 @@ def _rational(token: str) -> Scalar:
 
 def _sequence(args, convert=int, what: str = "integer") -> tuple:
     """The comma- or space-separated sequence argument, read from stdin for '-'.  Once the
-    text holds a comma, every comma-separated field must hold a value."""
+    text holds a comma, every comma-separated field must hold one value."""
     text = sys.stdin.read() if args.values == "-" else args.values
-    wrapped = f",{text},"
-    empty = "," in text and re.search(r",\s*,", wrapped)  # a regex scan, cheaper than splitting into fields
-    if empty:
-        raise ValueError(f"empty entry at position {wrapped.count(',', 0, empty.start()) + 1}")
-    return parse_decimals(text.replace(",", " ").split(), convert, what)
+    tokens, wrapped = text.replace(",", " ").split(), f",{text},"
+    # cheaper than splitting into fields: with no field empty, a token more than fields is a field of two
+    if "," in text and (re.search(r",\s*,", wrapped) or len(tokens) > text.count(",") + 1):
+        bad = re.search(r",\s*(?:,|[^,\s]+\s+[^,\s])", wrapped)  # the first empty or two-value field
+        problem = "empty entry" if bad[0].endswith(",") else "space between values in entry"
+        raise ValueError(f"{problem} at position {wrapped.count(',', 0, bad.start() + 1)}")
+    return parse_decimals(tokens, convert, what)
 
 
 def _load_json(path: str):
@@ -204,6 +206,10 @@ def cmd_fuzz(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def parse_known_args(self, args=None, namespace=None):  # a subcommand refuses its own leftovers,
+        args, extras = super().parse_known_args(args, namespace)  # so its usage comes with the error
+        return self.error("unrecognized arguments: " + " ".join(map(str.lstrip, extras))) if extras else (args, extras)
+
     def error(self, message):  # argparse echoes a bad token by repr, up to 10 times as long: cap it
         super().error(message if len(message) <= 250 else message[:247] + "...")
 

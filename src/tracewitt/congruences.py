@@ -20,13 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, combinations, repeat
+from itertools import accumulate, repeat
 from operator import mul
 from typing import NamedTuple, Sequence
 
 from .matrices import (
     IntMatrix,
-    _minor,
+    _minor_levels,
     _power,
     char_poly_coeffs,
     companion_matrix,
@@ -312,18 +312,16 @@ def exterior_levels(f: IntMatrix, p: int, k_max: int) -> CongruenceReport:
 def exterior_via_compound(f: IntMatrix, p: int, k: int) -> CongruenceReport:
     """The same congruences as :func:`check_exterior_congruence`, from dense powers and minors
     instead of characteristic polynomials: the i-th coefficient of ``det(1 + t*g)`` is
-    ``trace(compound(g, i))``, the sum of the principal i x i minors of g, and by Cauchy-Binet
-    ``compound(f, i)^(p^k) == compound(f^(p^k), i)``, so only the r x r powers ``f^(p^(k-1))``
-    and ``f^(p^k)`` are built.  The two routes must agree row for row, each a cross-check of
-    the other.
+    ``trace(compound(g, i))``, the sum of g's principal i x i minors, the diagonal of level i of its
+    minor table, and by Cauchy-Binet ``compound(f, i)^(p^k) == compound(f^(p^k), i)``, so only the
+    r x r powers ``f^(p^(k-1))`` and ``f^(p^k)`` are built.  The two routes must agree row for row,
+    each a cross-check of the other.
     """
     _require_prime(p, k)
     low = mat_pow(f, p ** (k - 1))
     powers = (mat_pow(low, p).entries, low.entries)
-    rows = []
-    for i in range(1, f.dim + 1):
-        principal = list(combinations(range(f.dim), i))
-        rows.append(_row(i, p, k, *(sum(_minor(g, s, s) for s in principal) for g in powers)))
+    levels = enumerate(zip(*map(_minor_levels, powers)), start=1)
+    rows = (_row(i, p, k, *(sum(row[a] for a, row in enumerate(level)) for level in pair)) for i, pair in levels)
     policy = {"kind": "exterior-power-compound", "p": p, "k": k, "dim": f.dim}
     return CongruenceReport(tuple(rows), policy)
 

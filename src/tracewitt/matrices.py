@@ -17,9 +17,9 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .newton import Scalar, _elementary_to_traces, _exact_int, as_integers, exact_ints
 from .rng import SplitMix64
@@ -208,35 +208,41 @@ def char_poly_coeffs(f: IntMatrix) -> tuple[int, ...]:
     return tuple(c if i % 2 == 0 else -c for i, c in enumerate(poly[1:], start=1))
 
 
-def _minor(entries: tuple[tuple[int, ...], ...], rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
-    """The minor of ``entries`` on the ascending index tuples ``rows`` and ``cols``: two base
-    cases (1x1, closed 2x2), else cofactor expansion along ``rows[0]`` skipping zero entries."""
-    if len(rows) == 1:
-        return entries[rows[0]][cols[0]]
-    if len(rows) == 2:
-        (a, b), (c, d) = rows, cols
-        return entries[a][c] * entries[b][d] - entries[a][d] * entries[b][c]
-    row, rest, total = entries[rows[0]], rows[1:], 0
-    for j, col in enumerate(cols):
-        if row[col]:
-            term = row[col] * _minor(entries, rest, cols[:j] + cols[j + 1 :])
-            total = total - term if j % 2 else total + term
-    return total
+def _minor_levels(entries: Sequence[Sequence[int]]) -> Iterator[list[list[int]]]:
+    """Every s x s minor of the square ``entries``, one level per s = 1..r: ``level[a][b]`` is the minor
+    on the a-th row and the b-th column subset of size s, in ``combinations`` order.  The minor on rows R
+    and columns C is the sum over j of (-1)^j * f[R_0][C_j] * minor(R[1:], C without C_j) from the level
+    below (the first from the 0 x 0 minor, 1), zero entries skipped: C(r, s)^2 * s products at most."""
+    span, level = range(len(entries)), [[1]]
+    for s in range(1, len(entries) + 1):
+        below = {cols: b for b, cols in enumerate(combinations(span, s - 1))}
+        subsets = list(combinations(span, s))  # each C's drops: (C_j, index of C without C_j below, j % 2)
+        drops = [[(c, below[cols[:j] + cols[j + 1 :]], j % 2) for j, c in enumerate(cols)] for cols in subsets]
+        level, tails = [], level
+        for rows in subsets:
+            row, tail, minors = entries[rows[0]], tails[below[rows[1:]]], []
+            for drop in drops:
+                total = 0
+                for c, b, odd in drop:
+                    if row[c]:
+                        term = row[c] * tail[b]
+                        total = total - term if odd else total + term
+                minors.append(total)
+            level.append(minors)
+        yield level
 
 
 def compound_matrix(f: IntMatrix, i: int) -> IntMatrix:
-    """The i-th exterior power of f: the matrix of all i x i minors.
+    """The i-th exterior power of f: the matrix of all i x i minors, level i of the minor table.
 
-    Rows and columns are indexed by the size-i subsets of ``{0..r-1}`` in
-    lexicographic order, so the result is ``C(r, i)`` square.  Its trace is
-    the i-th characteristic coefficient of f, and it respects products:
-    ``compound(f*g, i) == compound(f, i) * compound(g, i)``.
+    Rows and columns are indexed by the size-i subsets of ``{0..r-1}`` in lexicographic order, so
+    the result is ``C(r, i)`` square.  Its trace is the i-th characteristic coefficient of f, and it
+    respects products: ``compound(f*g, i) == compound(f, i) * compound(g, i)``.
     """
     if not 1 <= _exact_int(i, "i") <= f.dim:
         raise ValueError(f"minor size {i} out of range for dimension {f.dim}")
-    subsets = list(combinations(range(f.dim), i))
-    entries = tuple(tuple(_minor(f.entries, rows, cols) for cols in subsets) for rows in subsets)
-    return IntMatrix(len(subsets), entries)
+    level = next(islice(_minor_levels(f.entries), i - 1, None))
+    return IntMatrix(len(level), tuple(map(tuple, level)))
 
 
 def companion_matrix(coeffs: Sequence[int]) -> IntMatrix:

@@ -127,6 +127,20 @@ def _commands() -> list[tuple[list[str], str, bool]]:
         cmd("fuzz", option, value, tail=True)
 
     cmd(tail=True)
+
+    # added after the first 160, so that earlier commands keep their indices
+    for values in ("1,3 4,7", "1 2,3", "1,3 4,,7", " 1 , 3 "):
+        cmd("check-traces", values)
+    cmd("check-traces", "-", stdin="1,3 4\n")
+    cmd("synthesize", "1,3\t4")
+    cmd("witt", "1,2 3")
+    cmd("ghost", "1/2 1,3", "--count", "2")
+    # a leftover argument is an error of the parser that left it
+    cmd("check-traces", "1,3", "--bogus", tail=True)
+    cmd("check-traces", "1,3", "4", tail=True)
+    cmd("check-traces", "1,3", "-2", tail=True)
+    cmd("fuzz", "--bogus", tail=True)
+    cmd("--bogus", "check-traces", "1,3", tail=True)
     return out
 
 

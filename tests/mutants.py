@@ -24,7 +24,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-TWO_BY_TWO = "entries[a][c] * entries[b][d] - entries[a][d] * entries[b][c]"
+DROPS = "[(c, below[cols[:j] + cols[j + 1 :]], j % 2) for j, c in enumerate(cols)]"
+EXPANDED = "row, tail, minors = entries[rows[0]], tails[below[rows[1:]]], []"
 PARSE_ARGS = r'''args = parser.parse_args([" " + a if re.match(r"-\.?\d", a) else a for a in argv])'''
 X_MOD_CHI = "x = _mul_mod([0, 1], [1], signed)  # reduced like every later power: at dim 1 the constant b_1"
 TOEPLITZ = "toeplitz = [1, -row[k]] + [0] * k"
@@ -42,22 +43,10 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    # the closed 2x2 minor: a sign, the order of its terms, one index
-    Mutant("matrices.py", TWO_BY_TWO, TWO_BY_TWO.replace(" - ", " + "), "test_matrices.py"),
-    Mutant(
-        "matrices.py",
-        TWO_BY_TWO,
-        "entries[a][d] * entries[b][c] - entries[a][c] * entries[b][d]",
-        "test_matrices.py",
-    ),
-    Mutant("matrices.py", TWO_BY_TWO, TWO_BY_TWO.replace("entries[b][c]", "entries[c][b]"), "test_matrices.py"),
-    # the cofactor sign of the expansion along the first row
-    Mutant(
-        "matrices.py",
-        "total - term if j % 2 else total + term",
-        "total + term if j % 2 else total - term",
-        "test_matrices.py",
-    ),
+    # the minor table: the cofactor parity, the row it expands along, the rows of the minor below
+    Mutant("matrices.py", DROPS, DROPS.replace("j % 2)", "1 - j % 2)"), "test_matrices.py"),
+    Mutant("matrices.py", EXPANDED, EXPANDED.replace("rows[0]", "rows[-1]"), "test_matrices.py"),
+    Mutant("matrices.py", EXPANDED, EXPANDED.replace("rows[1:]", "rows[:-1]"), "test_matrices.py"),
     # Berkowitz skips a column only when all of it is zero
     Mutant("matrices.py", "if any(col):", "if all(col):", "test_matrices.py"),
     # Newton's window of numerators one term short
@@ -71,6 +60,9 @@ MUTANTS = (
     ),
     # the cross-check raises f^(p^(k-1)) to p, not f
     Mutant("congruences.py", "mat_pow(low, p)", "mat_pow(f, p)", "test_congruences.py"),
+    # a field of two values holds one token too many; the fault's position counts the commas up to it
+    Mutant("cli.py", 'len(tokens) > text.count(",") + 1', 'len(tokens) > text.count(",") + 2', "test_cli.py"),
+    Mutant("cli.py", "wrapped.count(',', 0, bad.start() + 1)", "wrapped.count(',', 0, bad.start())", "test_cli.py"),
     # main shields a positional that starts with "-." from argparse, as it does "-2" and "-1/2"
     Mutant("cli.py", PARSE_ARGS, PARSE_ARGS.replace(r"-\.?\d", r"-\d"), "test_cli.py"),
     # square-and-multiply: the top bit is the start, and a one bit multiplies by the base
@@ -83,8 +75,9 @@ MUTANTS = (
         X_MOD_CHI.replace("_mul_mod([0, 1], [1], signed)", "[0, 1]"),
         "test_congruences.py",
     ),
-    # Berkowitz: the sign of the corner term, and the Krylov update over all of f_k
+    # Berkowitz: the sign of the corner term, the padding of the Toeplitz column, the Krylov update over all of f_k
     Mutant("matrices.py", TOEPLITZ, TOEPLITZ.replace("-row[k]", "row[k]"), "test_matrices.py"),
+    Mutant("matrices.py", TOEPLITZ, TOEPLITZ.replace("[0] * k", "[0] * (k - 1)"), "test_matrices.py"),
     Mutant("matrices.py", KRYLOV, KRYLOV.replace("in block]", "in block[1:]]"), "test_matrices.py"),
     # reduction mod chi, root powering's every p-th trace, the row's modulus, the SPRP chain
     Mutant("congruences.py", "prod[-i] += s * top", "prod[-i] -= s * top", "test_congruences.py"),

@@ -487,7 +487,7 @@ INTEGER_OPTIONS = {
 
 
 class TestSubcommandValueErrors:
-    """A bad option value fails inside argparse, through its own subcommand's parser, like a bad option."""
+    """A bad option value or a leftover argument fails inside argparse, through its own subcommand's parser."""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -522,6 +522,11 @@ class TestSubcommandValueErrors:
                 for name, argv in INTEGER_OPTIONS.items()
                 for label, token in (("underscore", "1_1"), ("non-ascii", "\u0663"))
             ),
+            pytest.param(["check-traces", "1,3", "--bogus"], "unrecognized arguments: --bogus", id="unknown-option"),
+            pytest.param(["check-traces", "1,3", "4"], "unrecognized arguments: 4", id="extra-positional"),
+            # main's shield of a leading minus, a space, stays out of the message
+            pytest.param(["check-traces", "1,3", "-2"], "unrecognized arguments: -2", id="extra-negative"),
+            pytest.param(["fuzz", "--dim", "2", "--bogus=1"], "unrecognized arguments: --bogus=1", id="fuzz-unknown"),
         ],
     )
     def test_usage_and_error_name_the_subcommand(self, capsys, monkeypatch, argv, message):
@@ -533,6 +538,14 @@ class TestSubcommandValueErrors:
         assert captured.out == ""
         assert captured.err.startswith(f"usage: tracewitt {argv[0]} [-h] ")
         assert captured.err.endswith(f"\ntracewitt {argv[0]}: error: {message}\n")
+
+    def test_unknown_option_before_the_subcommand_is_the_top_level_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--bogus", "check-traces", "1,3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tracewitt [-h]") and "--format" not in err
+        assert err.endswith("\ntracewitt: error: unrecognized arguments: --bogus\n")
 
 
 def test_cli_imports_no_private_library_name():
@@ -592,7 +605,33 @@ class TestInputGrammar:
         assert capsys.readouterr() == ("", f"error: empty entry at position {position}\n")
 
     @pytest.mark.parametrize(
-        "argv, stdin", [(["1, 3"], ""), (["1 3 4"], ""), (["-"], "1,3\n"), ([""], ""), (["5"], "")]
+        "argv, position, fault",
+        [
+            (["check-traces", "1,3 4,7"], 2, "space between values in"),
+            (["check-traces", "1 2,3"], 1, "space between values in"),
+            (["synthesize", "1,3\t4"], 2, "space between values in"),
+            (["ghost", "1/2,1 3", "--count", "2"], 2, "space between values in"),
+            (["check-traces", "1,3 4,,7"], 2, "space between values in"),
+            (["witt", "1,,3 4"], 2, "empty"),
+        ],
+    )
+    def test_field_of_two_values_is_an_input_error(self, capsys, argv, position, fault):
+        # once the text holds a comma, a space typed for a comma would move every later value to another index
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {fault} entry at position {position}\n")
+
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        [
+            (["1, 3"], ""),
+            (["1 3 4"], ""),
+            (["-"], "1,3\n"),
+            ([""], ""),
+            (["5"], ""),
+            (["  "], ""),
+            ([" 1 , 3 "], ""),
+            (["-"], "1,\t3, 4\r\n"),
+        ],
     )
     def test_separators_without_an_empty_entry_still_accepted(self, capsys, monkeypatch, argv, stdin):
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))

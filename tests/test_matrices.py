@@ -221,16 +221,32 @@ class TestCompound:
             got = compound_matrix(f, i)
             assert [list(r) for r in got.entries] == compound_perm(rows, i)
 
-    # C(7, i)^2 = 1225 minors; with a closed 2x2 case each 3x3 minor costs 1 + 3 calls and each
-    # 4x4 minor 1 + 4 + 4*3; expanding down to 1x1 would cost 10 and 41 (12,250 and 50,225 calls)
-    @pytest.mark.parametrize("i, calls", [(3, 4_900), (4, 20_825)])
-    def test_minor_calls_stop_at_two_by_two(self, monkeypatch, i, calls):
+    @staticmethod
+    def dim_seven():
         gen = SplitMix64(7)
-        f = IntMatrix.from_rows([[gen.integer(1, 3) for _ in range(7)] for _ in range(7)])
-        calls_made, minor = [], matrices._minor
-        monkeypatch.setattr(matrices, "_minor", lambda *args: calls_made.append(1) or minor(*args))
-        compound_matrix(f, i)
-        assert len(calls_made) == calls
+        return IntMatrix.from_rows([[gen.integer(1, 3) for _ in range(7)] for _ in range(7)])
+
+    # level s holds each s x s minor once: C(7, s)^2 of them, each expanded from level s - 1
+    def test_minor_table_has_every_minor_once(self):
+        levels = list(matrices._minor_levels(self.dim_seven().entries))
+        assert [(len(level), *{len(row) for row in level}) for level in levels] == [
+            (7, 7), (21, 21), (35, 35), (35, 35), (21, 21), (7, 7), (1, 1)
+        ]
+        assert levels[-1] == [[det_perm([list(row) for row in self.dim_seven().entries])]]
+
+    # compound_matrix(f, i) stops at level i: the levels past it are never built
+    @pytest.mark.parametrize("i", [1, 2, 3, 4, 7])
+    def test_compound_draws_i_levels(self, monkeypatch, i):
+        drawn, levels = [], matrices._minor_levels
+
+        def counted(entries):
+            for level in levels(entries):
+                drawn.append(len(level))
+                yield level
+
+        monkeypatch.setattr(matrices, "_minor_levels", counted)
+        assert compound_matrix(self.dim_seven(), i).dim == drawn[-1]
+        assert drawn == [7, 21, 35, 35, 21, 7, 1][:i]
 
     # the hypothesis oracle stops at dim 6; these are the bench's largest cells, on a matrix with zeros
     @pytest.mark.parametrize("i", [2, 3, 4])

@@ -72,11 +72,11 @@ def _matrix(args) -> IntMatrix:
     return IntMatrix.from_json_dict(_load_json(args.matrix))
 
 
-def _emit_json(payload: dict, args) -> None:
+def _emit_json(payload: dict, args, head: str = "{") -> None:
     if not args.no_timestamp:
         from datetime import datetime, timezone  # here, not at the top: only a stamp needs it
         payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    print(json.dumps(payload, separators=(",", ":")))
+    print(head + json.dumps(payload, separators=(",", ":"))[1:])  # head: "{" and any members before payload's
 
 
 def _emit_values(values: Sequence[Scalar], args) -> int:
@@ -120,9 +120,23 @@ def _report_text(report: CongruenceReport) -> str:
     return "\n".join(lines)
 
 
+class _JsonInts(dict):  # each integer's JSON text, encoded on its first lookup only
+    def __missing__(self, value: int) -> str:
+        return self.setdefault(value, f'"{e}"' if isinstance(e := encode_int(value), str) else str(e))
+
+
 def _emit_report(report: CongruenceReport, args) -> int:
-    if args.format == "json":
-        _emit_json(report.to_json_dict(), args)
+    if args.format == "json":  # the bytes of report.to_json_dict(), with the rows formatted straight to text
+        m = _JsonInts()
+        rows = ",".join(
+            f'{{"n":{m[r.n]},"p":{m[r.p]},"k":{r.k},"lhs":{m[r.lhs]},"rhs":{m[r.rhs]},"modulus":{m[r.modulus]},'
+            f'"pass":{"true" if r.passed else "false"}}}'
+            for r in report.checks
+        )
+        tail = {"policy": {key: encode_int(v) if isinstance(v, int) else v for key, v in report.policy.items()}}
+        if report.witness is not None:
+            tail["witness"] = [encode_scalar(x) for x in report.witness]
+        _emit_json(tail, args, f'{{"overall":{"true" if report.overall else "false"},"checks":[{rows}],')
     else:
         print(_report_text(report))
     return OK if report.overall else MATH_FAIL

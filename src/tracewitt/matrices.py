@@ -201,9 +201,10 @@ def char_poly_coeffs(f: IntMatrix) -> tuple[int, ...]:
         col = [r[k] for r in block]
         toeplitz = [1, -row[k]] + [0] * k
         if any(col):  # else R f_k^j C = 0 for every j: a companion matrix skips all but its last column
-            for j in range(2, k + 2):
-                toeplitz[j] = -sum(map(mul, row, col))
+            toeplitz[2] = -sum(map(mul, row, col))
+            for j in range(3, k + 2):  # k - 1 products: f_k^k C is never read
                 col = [sum(map(mul, r, col)) for r in block]
+                toeplitz[j] = -sum(map(mul, row, col))
         poly = [sum(map(mul, poly, toeplitz[i::-1])) for i in range(k + 2)]
     return tuple(c if i % 2 == 0 else -c for i, c in enumerate(poly[1:], start=1))
 

@@ -32,6 +32,8 @@ TOEPLITZ = "toeplitz = [1, -row[k]] + [0] * k"
 KRYLOV = "col = [sum(map(mul, r, col)) for r in block]"
 ROOT_POWERING = "powered = _traces_to_elementary(_elementary_to_traces(coeffs, len(coeffs) * p)[p - 1 :: p])"
 SPRP_CHAIN = "if x != 1 and n - 1 not in accumulate(repeat(n, s - 1), lambda y, m: y * y % m, initial=x):"
+JSON_INT = """f'"{e}"' if isinstance(e := encode_int(value), str) else str(e)"""
+ROW_PASS = '"pass":{"true" if r.passed else "false"}'
 VERDICT = '''verdict = "PASS" if report.overall else f"FAIL ({columns[5].count('FAIL')} of {len(rows)} checks)"'''
 
 
@@ -101,6 +103,15 @@ MUTANTS = (
     Mutant("newton.py", "acc += n * signed[n - 1]", "acc += signed[n - 1]", "test_newton.py"),
     # the report counts its failing rows
     Mutant("cli.py", VERDICT, VERDICT.replace("count('FAIL')", "count('PASS')"), "test_reports.py"),
+    # the JSON writer: 2^53 - 1 is the last literal, a string is quoted, a row's verdict is its own
+    Mutant("matrices.py", "value <= _JSON_SAFE_INT else", "value < _JSON_SAFE_INT else", "test_reports.py"),
+    Mutant("cli.py", JSON_INT, JSON_INT.replace("""f'"{e}"'""", "str(e)"), "test_reports.py"),
+    Mutant(
+        "cli.py",
+        ROW_PASS,
+        ROW_PASS.replace('"true" if r.passed else "false"', '"false" if r.passed else "true"'),
+        "test_reports.py",
+    ),
 )
 
 

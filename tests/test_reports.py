@@ -1,10 +1,13 @@
 """Report writers and rows: the fast builders against row-by-row oracles."""
 
+import argparse
+import contextlib
 import dataclasses
 import io
 import json
 import pickle
 import sys
+from datetime import datetime, timedelta
 from fractions import Fraction
 
 import pytest
@@ -22,20 +25,31 @@ from tracewitt import (
     synthesize,
     trace_sequence,
 )
-from tracewitt.cli import _report_text, main
+from tracewitt.cli import _emit_report, _report_text, main
 from tracewitt.congruences import CongruenceReport, CongruenceRow, _row, exterior_levels
 from tracewitt.matrices import encode_scalar
 
 from .oracles import json_scalar, report_json_by_rows, report_text_by_rows
 
 BIG = 2**53
+EDGES = (BIG - 1, BIG, 1 - BIG, -BIG)  # the largest JSON-safe magnitude and the least past it
+
+
+def cli_json(report: CongruenceReport, stamp: bool = False) -> str:
+    """The report as ``--format json`` prints it, without the newline."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit_report(report, argparse.Namespace(format="json", no_timestamp=not stamp))
+    return out.getvalue().removesuffix("\n")
 
 
 def assert_writers_match(report: CongruenceReport) -> None:
     assert _report_text(report) == report_text_by_rows(report)
     got, want = report.to_json_dict(), report_json_by_rows(report)
     assert got == want
-    assert json.dumps(got, separators=(",", ":")) == json.dumps(want, separators=(",", ":"))
+    want_bytes = json.dumps(want, separators=(",", ":"))
+    assert json.dumps(got, separators=(",", ":")) == want_bytes
+    assert cli_json(report) == want_bytes
 
 
 @st.composite
@@ -88,6 +102,23 @@ class TestReportWriters:
         assert_writers_match(big_p)
         payload = big_p.to_json_dict()
         assert payload["checks"][0]["p"] == payload["policy"]["p"] == str(BIG + 5)
+
+    def test_json_safe_edges_in_every_integer_field(self):
+        base = {"n": 4, "p": 2, "k": 2, "lhs": 5, "rhs": 1, "modulus": 4}
+        fields = ("n", "p", "lhs", "rhs", "modulus")
+        rows = tuple(CongruenceRow(**{**base, field: v, "passed": v > 0}) for field in fields for v in EDGES)
+        policy = {"kind": "edges", **{f"v{i}": v for i, v in enumerate(EDGES)}}
+        report = CongruenceReport(rows, policy, (*EDGES, Fraction(-BIG, 3)))
+        assert_writers_match(report)
+        lhs = [row["lhs"] for row in json.loads(cli_json(report))["checks"][8:12]]
+        assert lhs == [BIG - 1, str(BIG), 1 - BIG, str(-BIG)]
+
+    def test_timestamp_is_the_last_key(self):
+        report = check_trace_sequence([1, 3, 5, 7, BIG], with_witness=True)
+        payload = json.loads(cli_json(report, stamp=True))
+        assert list(payload) == ["overall", "checks", "policy", "witness", "timestamp"]
+        assert datetime.fromisoformat(payload.pop("timestamp")).utcoffset() == timedelta(0)
+        assert payload == report_json_by_rows(report)
 
     @pytest.mark.parametrize("traces", [[1, 3, 4, 7], [0, 1, -BIG, 2**80]])
     def test_cli_bytes(self, capsys, monkeypatch, traces):

@@ -126,7 +126,7 @@ class _JsonInts(dict):  # each integer's JSON text, encoded on its first lookup 
 
 
 def _emit_report(report: CongruenceReport, args) -> int:
-    if args.format == "json":  # the bytes of report.to_json_dict(), with the rows formatted straight to text
+    if args.format == "json":  # the one JSON writer of reports: rows formatted straight to text, each int encoded once
         m = _JsonInts()
         rows = ",".join(
             f'{{"n":{m[r.n]},"p":{m[r.p]},"k":{r.k},"lhs":{m[r.lhs]},"rhs":{m[r.rhs]},"modulus":{m[r.modulus]},'

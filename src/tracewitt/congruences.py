@@ -33,7 +33,6 @@ from .matrices import (
     decode_int,
     decode_object,
     encode_int,
-    encode_scalar,
     mat_pow,
     trace_sequence,
 )
@@ -88,9 +87,9 @@ def prime_power_split(n: int) -> tuple[PrimePower, ...]:
 class CongruenceRow:
     """One checked congruence: ``lhs == rhs (mod p^k)``.
 
-    ``n`` names what the row is about -- the sequence index for trace
-    sequences, the power of the matrix for power-trace checks, or the
-    coefficient index for exterior-power checks.
+    ``n`` names what the row is about -- the sequence index for trace sequences,
+    the power of the matrix for power-trace checks, the coefficient index for
+    exterior-power checks, or the power p^k of g for character checks.
     """
 
     n: int
@@ -100,17 +99,6 @@ class CongruenceRow:
     rhs: int
     modulus: int
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": encode_int(self.n),
-            "p": encode_int(self.p),
-            "k": self.k,
-            "lhs": encode_int(self.lhs),
-            "rhs": encode_int(self.rhs),
-            "modulus": encode_int(self.modulus),
-            "pass": self.passed,
-        }
 
 
 def _row(n: int, p: int, k: int, lhs: int, rhs: int) -> CongruenceRow:
@@ -140,16 +128,6 @@ class CongruenceReport:
 
     def failures(self) -> tuple[CongruenceRow, ...]:
         return tuple(row for row in self.checks if not row.passed)
-
-    def to_json_dict(self) -> dict:
-        out: dict = {
-            "overall": self.overall,
-            "checks": [row.to_json_dict() for row in self.checks],
-            "policy": {key: encode_int(v) if isinstance(v, int) else v for key, v in self.policy.items()},
-        }
-        if self.witness is not None:
-            out["witness"] = [encode_scalar(x) for x in self.witness]
-        return out
 
 
 class InvalidTraceSequenceError(Exception):

@@ -1,11 +1,13 @@
-"""Mutation check: every listed mutant of ``src/`` must fail its killing test file.
+"""Mutation check: every listed mutant of ``src/`` or ``tests/`` must fail its killing test file.
 
     python3 tests/mutants.py
 
-Each mutant is (file under ``src/tracewitt``, old text, new text, test file).
-For each one the script copies ``src/`` to a temporary directory, replaces the
-old text, which must occur exactly once, and runs ``pytest -x -q`` on the test
-file with that copy on ``PYTHONPATH``.  It exits 1 if a mutant survives (its
+Each mutant is (file, old text, new text, test file).  The file is a name under
+``src/tracewitt``, or a path from the repository root such as ``tests/oracles.py``.
+For each one the script copies ``src/``, ``tests/`` and ``pyproject.toml`` to a
+temporary directory, replaces the old text in the copy, where it must occur
+exactly once, and runs ``pytest -x -q`` there on the copied test file with the
+copied ``src/`` on ``PYTHONPATH``.  It exits 1 if a mutant survives (its
 test file passes) or if an old text does not occur exactly once, so a
 refactor of a listed kernel must update its mutants here; it stops with an
 error if pytest exits otherwise than pass (0) or fail (1).  Needs pytest and
@@ -34,6 +36,8 @@ ROOT_POWERING = "powered = _traces_to_elementary(_elementary_to_traces(coeffs, l
 SPRP_CHAIN = "if x != 1 and n - 1 not in accumulate(repeat(n, s - 1), lambda y, m: y * y % m, initial=x):"
 JSON_INT = """f'"{e}"' if isinstance(e := encode_int(value), str) else str(e)"""
 ROW_PASS = '"pass":{"true" if r.passed else "false"}'
+ROW_VALUES = '"lhs":{m[r.lhs]},"rhs":{m[r.rhs]}'
+RIM_HOOK = "sign = (-1) ** sum(b - r < c < b for c in beta)"
 VERDICT = '''verdict = "PASS" if report.overall else f"FAIL ({columns[5].count('FAIL')} of {len(rows)} checks)"'''
 
 
@@ -112,12 +116,17 @@ MUTANTS = (
         ROW_PASS.replace('"true" if r.passed else "false"', '"false" if r.passed else "true"'),
         "test_reports.py",
     ),
+    # ... and its lhs, rhs and modulus are its own
+    Mutant("cli.py", ROW_VALUES, '"lhs":{m[r.rhs]},"rhs":{m[r.lhs]}', "test_reports.py"),
+    Mutant("cli.py", '"modulus":{m[r.modulus]}', '"modulus":{m[r.p]}', "test_reports.py"),
+    # the Murnaghan-Nakayama oracle: a rim hook's height counts the beads strictly between its ends
+    Mutant("tests/oracles.py", RIM_HOOK, RIM_HOOK.replace("c < b", "c <= b"), "test_oracles.py"),
 )
 
 
-def apply(mutant: Mutant, src: Path) -> None:
-    """Write ``mutant`` into the copy of ``src/tracewitt`` under ``src``."""
-    path = src / "tracewitt" / mutant.file
+def apply(mutant: Mutant, copy: Path) -> None:
+    """Write ``mutant`` into the copy of the repository at ``copy``."""
+    path = copy / mutant.file if "/" in mutant.file else copy / "src" / "tracewitt" / mutant.file
     text = path.read_text()
     found = text.count(mutant.old)
     if found != 1:
@@ -126,15 +135,17 @@ def apply(mutant: Mutant, src: Path) -> None:
 
 
 def killed(mutant: Mutant) -> bool:
-    """Whether a test in the mutant's test file fails against a mutated copy of ``src/``."""
+    """Whether a test in the mutant's test file fails against a mutated copy of ``src/`` and ``tests/``."""
     with tempfile.TemporaryDirectory() as tmp:
-        src = Path(tmp) / "src"
-        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-        apply(mutant, src)
+        copy = Path(tmp)
+        for tree in ("src", "tests"):
+            shutil.copytree(ROOT / tree, copy / tree, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        apply(mutant, copy)
         run = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", str(ROOT / "tests" / mutant.test)],
-            cwd=ROOT,
-            env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", str(copy / "tests" / mutant.test)],
+            cwd=copy,
+            env={**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
             capture_output=True,
             text=True,
         )

@@ -15,6 +15,8 @@ import tracewitt.cli
 from tracewitt import check_trace_sequence
 from tracewitt.cli import _parser, _report_text, build_parser, main, run_fuzz
 
+from .oracles import report_json_by_rows
+
 
 def run_cli(*args, stdin=None):
     return subprocess.run(
@@ -221,7 +223,7 @@ class TestExteriorCommand:
 
 
     def test_report_is_the_per_level_checks_in_order(self, tmp_path, capsys):
-        from tracewitt import check_exterior_congruence, random_matrix
+        from tracewitt import CongruenceReport, check_exterior_congruence, random_matrix
 
         f = random_matrix(4, 3, 5)
         path = tmp_path / "m.json"
@@ -229,8 +231,8 @@ class TestExteriorCommand:
         argv = ["check-exterior", str(path), "--prime", "3", "--kmax", "4", "--format", "json"]
         assert main([*argv, "--no-timestamp"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        per_level = [check_exterior_congruence(f, 3, k).checks for k in range(1, 5)]
-        assert payload["checks"] == [row.to_json_dict() for rows in per_level for row in rows]
+        rows = tuple(row for k in range(1, 5) for row in check_exterior_congruence(f, 3, k).checks)
+        assert payload["checks"] == report_json_by_rows(CongruenceReport(rows))["checks"]
         assert payload["policy"] == {"kind": "exterior-power", "p": 3, "k_max": 4, "dim": 4}
 
 

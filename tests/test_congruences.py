@@ -1,5 +1,8 @@
 """Congruence checkers against brute-force and cross-path oracles."""
 
+import argparse
+import contextlib
+import io
 import json
 import re
 import sys
@@ -29,6 +32,7 @@ from tracewitt import (
     synthesize,
     trace_sequence,
 )
+from tracewitt.cli import _emit_report
 from tracewitt.congruences import CongruenceRow, exterior_levels
 from tracewitt.witt import factor, smallest_prime_factors
 
@@ -555,7 +559,10 @@ def test_trace_report_renders_as_json(b):
     except ValueError:
         assert any(isinstance(x, Fraction) for x in b)
         return
-    payload = json.loads(json.dumps(report.to_json_dict()))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit_report(report, argparse.Namespace(format="json", no_timestamp=True))
+    payload = json.loads(out.getvalue())
     assert [(r["lhs"], r["rhs"]) for r in payload["checks"]] == [
         (r.lhs, r.rhs) for r in report.checks
     ]

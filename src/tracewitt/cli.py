@@ -72,16 +72,13 @@ def _matrix(args) -> IntMatrix:
     return IntMatrix.from_json_dict(_load_json(args.matrix))
 
 
-def _emit_json(payload: dict, args, head: str = "{") -> None:
-    if not args.no_timestamp:
-        from datetime import datetime, timezone  # here, not at the top: only a stamp needs it
-        payload["timestamp"] = datetime.now(timezone.utc).isoformat()
+def _emit_json(payload: dict, head: str = "{") -> None:
     print(head + json.dumps(payload, separators=(",", ":"))[1:])  # head: "{" and any members before payload's
 
 
 def _emit_values(values: Sequence[Scalar], args) -> int:
     if args.format == "json":
-        _emit_json({"values": [encode_scalar(v) for v in values]}, args)
+        _emit_json({"values": [encode_scalar(v) for v in values]})
     else:
         print(",".join(map(str, values)))
     return OK
@@ -136,7 +133,7 @@ def _emit_report(report: CongruenceReport, args) -> int:
         tail = {"policy": {key: encode_int(v) if isinstance(v, int) else v for key, v in report.policy.items()}}
         if report.witness is not None:
             tail["witness"] = [encode_scalar(x) for x in report.witness]
-        _emit_json(tail, args, f'{{"overall":{"true" if report.overall else "false"},"checks":[{rows}],')
+        _emit_json(tail, f'{{"overall":{"true" if report.overall else "false"},"checks":[{rows}],')
     else:
         print(_report_text(report))
     return OK if report.overall else MATH_FAIL
@@ -152,7 +149,7 @@ def cmd_synthesize(args) -> int:
     except InvalidTraceSequenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _emit_report(exc.report, args)
-    print(json.dumps(matrix.to_json_dict(), separators=(",", ":")))
+    _emit_json(matrix.to_json_dict())
     return OK
 
 
@@ -209,7 +206,7 @@ def run_fuzz(trials: int, dim: int, entry_bound: int, seed: int) -> dict:
 def cmd_fuzz(args) -> int:
     summary = run_fuzz(args.trials, args.dim, args.entry_bound, args.seed)
     if args.format == "json":
-        _emit_json({key: encode_int(v) if isinstance(v, int) else v for key, v in summary.items()}, args)
+        _emit_json({key: encode_int(v) if isinstance(v, int) else v for key, v in summary.items()})
     else:
         for key in ("trials", "dim", "entry_bound", "seed", "trace_checks", "exterior_checks"):
             print(f"{key}: {summary[key]}")
@@ -245,10 +242,6 @@ def _integer(low: int | None = None, prime: bool = False):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--no-timestamp", action="store_true", help="omit timestamps from JSON output")
-
     parser = _Parser(
         prog="tracewitt",
         description="Decide, synthesize and transform integer trace sequences.",
@@ -256,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help_text, operand=None, operand_help=None):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--format", choices=("text", "json"), default="text")
         if operand:
             p.add_argument(operand, help=operand_help)
         p.set_defaults(func=func)

@@ -155,7 +155,7 @@ def check_trace_sequence(
     >>> check_trace_sequence([1, 3, 4, 7]).overall
     True
     """
-    exact_ints(traces)
+    traces = exact_ints(traces)
     spf = smallest_prime_factors(len(traces))
     rows = []
     for n in range(2, len(traces) + 1):
@@ -184,6 +184,7 @@ def synthesize(traces: Sequence[int]) -> IntMatrix:
     Raises :class:`InvalidTraceSequenceError`, carrying the failing report
     rows and the Witt witness, when the sequence is not a trace sequence.
     """
+    traces = tuple(traces)  # read once: a one-shot iterator feeds the check, the coefficients and the comparison
     if not check_trace_sequence(traces).overall:  # the one input check
         raise InvalidTraceSequenceError(check_trace_sequence(traces, with_witness=True))
     coeffs = _traces_to_elementary(traces)  # ints, since the congruences hold
@@ -191,7 +192,7 @@ def synthesize(traces: Sequence[int]) -> IntMatrix:
     while degree and coeffs[degree - 1] == 0:
         degree -= 1
     matrix = companion_matrix(coeffs[:degree])
-    if trace_sequence(matrix, len(traces)) != tuple(traces):
+    if trace_sequence(matrix, len(traces)) != traces:
         raise ArithmeticError("synthesized matrix fails to reproduce its traces; this is a bug")
     return matrix
 
@@ -323,7 +324,7 @@ class CharacterTable:
         object.__setattr__(self, "values", exact_ints(vals))
 
     def value(self, exponent: int) -> int:
-        return self.values[exponent % self.order]
+        return self.values[_exact_int(exponent, "exponent") % self.order]
 
     def to_json_dict(self) -> dict:
         return {

@@ -27,12 +27,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
 
-def _exact(values: Sequence[object], kinds: tuple[type, ...], what: str) -> Sequence:
+def _exact(values: Iterable[object], kinds: tuple[type, ...], what: str) -> tuple:
+    values = tuple(values)  # read once: a one-shot iterator is checked and returned, not used up
     if not set(kinds).issuperset(map(type, values)):  # else admit subclasses, but never bool
         for pos, value in enumerate(values, start=1):
             if isinstance(value, bool) or not isinstance(value, kinds):
@@ -40,14 +41,14 @@ def _exact(values: Sequence[object], kinds: tuple[type, ...], what: str) -> Sequ
     return values
 
 
-def exact_entries(values: Sequence[object]) -> Sequence[Scalar]:
-    """``values``, once each entry is checked to be an int (not a bool) or a Fraction;
+def exact_entries(values: Iterable[object]) -> tuple[Scalar, ...]:
+    """``values`` as a tuple, once each entry is checked to be an int (not a bool) or a Fraction;
     anything else, a float above all, raises ValueError naming its 1-based position."""
     return _exact(values, (int, Fraction), "an int or a Fraction")
 
 
-def exact_ints(values: Sequence[object]) -> Sequence[int]:
-    """``values``, once each entry is checked to be an int (not a bool); anything
+def exact_ints(values: Iterable[object]) -> tuple[int, ...]:
+    """``values`` as a tuple, once each entry is checked to be an int (not a bool); anything
     else, a Fraction or a float too, raises ValueError naming its 1-based position."""
     return _exact(values, (int,), "an int")
 
@@ -149,6 +150,7 @@ def integrality_check(values: Sequence[Scalar]) -> list[int]:
 
 def as_integers(values: Sequence[Scalar]) -> tuple[int, ...]:
     """Collapse integral rationals to plain ints, rejecting anything else."""
+    values = exact_entries(values)
     bad = integrality_check(values)
     if bad:
         raise ValueError(f"non-integer values at positions {bad}")

@@ -26,7 +26,7 @@ from unittest import mock
 from tracewitt.cli import main as cli_main
 
 GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
-JSON = ("--format", "json", "--no-timestamp")
+JSON = ("--format", "json")
 FIB = '{"dim": 2, "entries": [[0, 1], [1, 1]]}'
 EMPTY = '{"dim": 0, "entries": []}'
 IDENTITY = '{"dim": 3, "entries": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}'

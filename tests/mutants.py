@@ -119,6 +119,8 @@ MUTANTS = (
     # ... and its lhs, rhs and modulus are its own
     Mutant("cli.py", ROW_VALUES, '"lhs":{m[r.rhs]},"rhs":{m[r.lhs]}', "test_reports.py"),
     Mutant("cli.py", '"modulus":{m[r.modulus]}', '"modulus":{m[r.p]}', "test_reports.py"),
+    # the one JSON printer writes every line compactly
+    Mutant("cli.py", 'separators=(",", ":")', 'separators=(", ", ":")', "test_reports.py"),
     # the Murnaghan-Nakayama oracle: a rim hook's height counts the beads strictly between its ends
     Mutant("tests/oracles.py", RIM_HOOK, RIM_HOOK.replace("c < b", "c <= b"), "test_oracles.py"),
 )

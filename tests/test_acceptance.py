@@ -244,7 +244,7 @@ def test_criterion_10_fuzz_determinism():
     args = [
         sys.executable, "-m", "tracewitt", "fuzz",
         "--trials", "25", "--dim", "3", "--entry-bound", "3",
-        "--seed", "31337", "--format", "json", "--no-timestamp",
+        "--seed", "31337", "--format", "json",
     ]
     first = subprocess.run(args, capture_output=True)
     second = subprocess.run(args, capture_output=True)

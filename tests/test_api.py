@@ -3,6 +3,7 @@
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -88,6 +89,7 @@ INTEGER_PARAMETERS = {
     "prime_power_split-n": (tracewitt.prime_power_split, "n", 1),
     "divisors-n": (tracewitt.divisors, "n", 1),
     "CharacterTable-order": (lambda v: tracewitt.CharacterTable(v, ()), "order", 1),
+    "CharacterTable.value-exponent": (lambda v: tracewitt.CharacterTable(1, (1,)).value(v), "exponent", None),
     "lemma6_verify-k": (lambda v: tracewitt.lemma6_verify(3, 2, v), "k", 1),
     "check_matrix_congruences-k_max": (lambda v: tracewitt.check_matrix_congruences(F, 2, v), "k_max", 1),
     "check_exterior_congruence-k": (lambda v: tracewitt.check_exterior_congruence(F, 2, v), "k", 1),
@@ -113,13 +115,46 @@ def test_integer_parameters_refuse_floats_bools_and_values_below_their_bound(cal
             call(low - 1)
 
 
+# (call on the entries, entries it accepts): every public parameter that reads a sequence of entries
+SEQUENCE_PARAMETERS = {
+    "traces_to_elementary": (tracewitt.traces_to_elementary, [1, 3]),
+    "elementary_to_traces": (lambda v: tracewitt.elementary_to_traces(v, 2), [1]),
+    "integrality_check": (tracewitt.integrality_check, [Fraction(1, 2)]),
+    "companion_matrix": (tracewitt.companion_matrix, [1, -1]),
+    "witt_from_ghost": (tracewitt.witt_from_ghost, [0, 1]),
+    "ghost_from_witt": (lambda v: tracewitt.ghost_from_witt(v, 3), [0, 1]),
+    "coeffs_to_witt": (tracewitt.coeffs_to_witt, [1, -1]),
+    "coeffs_to_witt-n_max": (lambda v: tracewitt.coeffs_to_witt(v, 3), [1, -1]),
+    "witt_to_coeffs": (tracewitt.witt_to_coeffs, [1, 1]),
+    "witt_to_coeffs-n_max": (lambda v: tracewitt.witt_to_coeffs(v, 3), [1, 1]),
+    "check_trace_sequence": (tracewitt.check_trace_sequence, [1, 3, 4, 7]),
+    "synthesize": (tracewitt.synthesize, [1, 3]),
+    "IntMatrix-entries": (lambda v: tracewitt.IntMatrix(2, v), [[0, 1], [1, 1]]),
+    "CharacterTable-values": (lambda v: tracewitt.CharacterTable(2, v), [2, 0]),
+}
+
+
+@pytest.mark.parametrize("call, entries", SEQUENCE_PARAMETERS.values(), ids=SEQUENCE_PARAMETERS)
+def test_one_shot_iterator_gives_the_lists_result_or_raises(call, entries):
+    # never a result computed from an iterator that the entry check used up
+    want = call(entries)
+    try:
+        got = call(iter(entries))
+    except TypeError:
+        return
+    assert got == want
+
+
 def test_imports_stay_lazy():
-    # import cost is paid by every one-shot process: the library loads no CLI, and datetime is
-    # imported only when a JSON timestamp is written
+    # import cost is paid by every one-shot process: the library loads no CLI, and no command imports datetime
     probe = (
         "import sys; watched = ('tracewitt.cli', 'datetime');"
         "import tracewitt; print([m for m in watched if m in sys.modules]);"
-        "import tracewitt.cli; print([m for m in watched if m in sys.modules])"
+        "import tracewitt.cli; print([m for m in watched if m in sys.modules]);"
+        "tracewitt.cli.main(['check-traces', '1,3', '--format', 'json']);"
+        "print([m for m in watched if m in sys.modules])"
     )
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    assert run.stdout.splitlines() == ["[]", "['tracewitt.cli']"]
+    report = '{"overall":true,"checks":[{"n":2,"p":2,"k":1,"lhs":3,"rhs":1,"modulus":2,"pass":true}],'
+    report += '"policy":{"kind":"trace-sequence","length":2}}'
+    assert run.stdout.splitlines() == ["[]", "['tracewitt.cli']", report, "['tracewitt.cli']"]

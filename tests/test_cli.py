@@ -66,7 +66,7 @@ class TestExitCodes:
 
 class TestCheckTraces:
     def test_failing_row_identified(self):
-        proc = run_cli("check-traces", "0,1", "--format", "json", "--no-timestamp")
+        proc = run_cli("check-traces", "0,1", "--format", "json")
         report = json.loads(proc.stdout)
         assert report["overall"] is False
         bad = [c for c in report["checks"] if not c["pass"]]
@@ -138,7 +138,7 @@ class TestConversions:
         assert proc.stdout.strip() == "0,1"
 
     def test_values_json_format(self):
-        proc = run_cli("witt", "0,1", "--format", "json", "--no-timestamp")
+        proc = run_cli("witt", "0,1", "--format", "json")
         assert json.loads(proc.stdout) == {"values": [0, "1/2"]}
 
 
@@ -161,12 +161,12 @@ class TestCharacterCommand:
     def test_policy_in_json_report(self, tmp_path):
         path = tmp_path / "table.json"
         path.write_text(json.dumps({"order": 2, "values": {"0": 1, "1": 1}}))
-        proc = run_cli("check-character", str(path), "--format", "json", "--no-timestamp")
+        proc = run_cli("check-character", str(path), "--format", "json")
         report = json.loads(proc.stdout)
         assert report["policy"]["kind"] == "character"
         assert "k_bounds" in report["policy"]
         path.write_text(json.dumps({"order": 2, "values": {"0": 10**19, "1": 10**19}}))
-        proc = run_cli("check-character", str(path), "--format", "json", "--no-timestamp")
+        proc = run_cli("check-character", str(path), "--format", "json")
         assert json.loads(proc.stdout)["policy"]["max_abs_value"] == str(10**19)
 
     def test_table_that_fails_only_past_k_1_exits_one(self, capsys, monkeypatch):
@@ -229,25 +229,41 @@ class TestExteriorCommand:
         path = tmp_path / "m.json"
         path.write_text(json.dumps(f.to_json_dict()))
         argv = ["check-exterior", str(path), "--prime", "3", "--kmax", "4", "--format", "json"]
-        assert main([*argv, "--no-timestamp"]) == 0
+        assert main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
         rows = tuple(row for k in range(1, 5) for row in check_exterior_congruence(f, 3, k).checks)
         assert payload["checks"] == report_json_by_rows(CongruenceReport(rows))["checks"]
         assert payload["policy"] == {"kind": "exterior-power", "p": 3, "k_max": 4, "dim": 4}
 
 
-class TestTimestamps:
-    def test_report_json_has_timestamp_by_default(self):
-        proc = run_cli("check-traces", "1,3", "--format", "json")
-        assert "timestamp" in json.loads(proc.stdout)
+FIB = '{"dim": 2, "entries": [[0, 1], [1, 1]]}'
 
-    def test_no_timestamp_flag(self):
-        proc = run_cli("check-traces", "1,3", "--format", "json", "--no-timestamp")
-        assert "timestamp" not in json.loads(proc.stdout)
+# (argv, stdin) of one passing call of each subcommand
+EVERY_SUBCOMMAND = [
+    (["check-traces", "1,3"], ""),
+    (["synthesize", "1,3"], ""),
+    (["witt", "0,1"], ""),
+    (["ghost", "1/2", "--count", "3"], ""),
+    (["traces", "-", "--count", "4"], FIB),
+    (["charpoly", "-"], FIB),
+    (["check-character", "-"], '{"order": 2, "values": {"0": 2, "1": 0}}'),
+    (["check-exterior", "-", "--prime", "2", "--kmax", "2"], FIB),
+    (["fuzz", "--trials", "2", "--dim", "2"], ""),
+]
 
-    def test_matrix_output_never_timestamped(self):
-        proc = run_cli("synthesize", "1,3")
-        assert "timestamp" not in proc.stdout
+
+def test_json_output_is_a_function_of_the_input(capsys, monkeypatch):
+    # no wall-clock field: two runs of each subcommand print the same bytes
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [argv[0] for argv, _ in EVERY_SUBCOMMAND] == list(sub.choices)
+    for argv, stdin in EVERY_SUBCOMMAND:
+        outputs = []
+        for _ in range(2):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+            assert main([*argv, "--format", "json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1], argv
+        assert "timestamp" not in json.loads(outputs[0]), argv
 
 
 class TestFuzz:
@@ -264,8 +280,7 @@ class TestFuzz:
         assert run_cli("fuzz", "--trials", "0").returncode == 2
 
     def test_byte_identical_given_seed(self):
-        args = ("fuzz", "--trials", "4", "--dim", "2", "--seed", "123",
-                "--format", "json", "--no-timestamp")
+        args = ("fuzz", "--trials", "4", "--dim", "2", "--seed", "123", "--format", "json")
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
     def test_summary_counts(self, capsys):
@@ -277,7 +292,7 @@ class TestFuzz:
         assert summary["exterior_checks"] == 3 * 2 * 2 * 2  # trials * primes * k * dim
         # JSON writes summary integers past 2^53 - 1 as strings, text as they are
         argv = ["fuzz", "--trials", "1", "--dim", "1", "--seed", str(2**64), "--entry-bound", str(10**19)]
-        assert main([*argv, "--format", "json", "--no-timestamp"]) == 0
+        assert main([*argv, "--format", "json"]) == 0
         assert f'"entry_bound":"{10**19}","seed":"{2**64}",' in capsys.readouterr().out
         assert main(argv) == 0
         assert f"entry_bound: {10**19}\nseed: {2**64}\n" in capsys.readouterr().out
@@ -322,7 +337,7 @@ class TestOneParserPerProcess:
     """main() reuses one parser; each call must still behave like a fresh process."""
 
     SEQUENCE = [
-        ["check-traces", "1,3,4,7", "--format", "json", "--no-timestamp"],
+        ["check-traces", "1,3,4,7", "--format", "json"],
         ["check-traces", "1,3,4,7"],
         ["check-traces", "1,2", "3"],
         ["--help"],
@@ -330,7 +345,7 @@ class TestOneParserPerProcess:
         ["synthesize", "1,3"],
         ["ghost", "1/2,3", "--count", "4"],
         ["check-traces", "--help"],
-        ["check-traces", "0,1", "--format", "json", "--no-timestamp"],
+        ["check-traces", "0,1", "--format", "json"],
         ["check-traces", "0,1"],
     ]
 
@@ -364,15 +379,15 @@ class TestParserSurface:
     """Every settable value has a caller, and each input comes in one way."""
 
     DESTS = {
-        "check-traces": ("format", "no_timestamp", "values"),
-        "synthesize": ("format", "no_timestamp", "values"),
-        "witt": ("format", "no_timestamp", "values"),
-        "ghost": ("format", "no_timestamp", "values", "count"),
-        "traces": ("format", "no_timestamp", "matrix", "count"),
-        "charpoly": ("format", "no_timestamp", "matrix"),
-        "check-character": ("format", "no_timestamp", "table"),
-        "check-exterior": ("format", "no_timestamp", "matrix", "prime", "kmax"),
-        "fuzz": ("format", "no_timestamp", "seed", "trials", "dim", "entry_bound"),
+        "check-traces": ("format", "values"),
+        "synthesize": ("format", "values"),
+        "witt": ("format", "values"),
+        "ghost": ("format", "values", "count"),
+        "traces": ("format", "matrix", "count"),
+        "charpoly": ("format", "matrix"),
+        "check-character": ("format", "table"),
+        "check-exterior": ("format", "matrix", "prime", "kmax"),
+        "fuzz": ("format", "seed", "trials", "dim", "entry_bound"),
     }
 
     def test_option_dests_per_subcommand(self):
@@ -383,7 +398,7 @@ class TestParserSurface:
             for name, command in sub.choices.items()
         }
         assert got == self.DESTS
-        assert sum(map(len, got.values())) == 34
+        assert sum(map(len, got.values())) == 25
 
     # what an option's type reads from each probe: the value, or None where it refuses the probe
     PROBES = ("-1", "0", "1", "2", "4")
@@ -402,11 +417,8 @@ class TestParserSurface:
                 values.append(None)
         return tuple(values)
 
-    # (dest, help, what its type reads, default, required) of each argument after the common two
-    COMMON = (
-        ("format", None, None, "text", False),
-        ("no_timestamp", "omit timestamps from JSON output", None, False, False),
-    )
+    # (dest, help, what its type reads, default, required) of each argument after the common one
+    COMMON = (("format", None, None, "text", False),)
     VALUES = ("values", "comma-separated values ('-' for stdin)", None, None, True)
     MATRIX = ("matrix", "matrix JSON file ('-' for stdin)", None, None, True)
     SPECS = {
@@ -529,6 +541,12 @@ class TestSubcommandValueErrors:
             # main's shield of a leading minus, a space, stays out of the message
             pytest.param(["check-traces", "1,3", "-2"], "unrecognized arguments: -2", id="extra-negative"),
             pytest.param(["fuzz", "--dim", "2", "--bogus=1"], "unrecognized arguments: --bogus=1", id="fuzz-unknown"),
+            # the JSON output has no timestamp to omit: drop the flag
+            pytest.param(
+                ["check-traces", "1,3", "--format", "json", "--no-timestamp"],
+                "unrecognized arguments: --no-timestamp",
+                id="no-timestamp",
+            ),
         ],
     )
     def test_usage_and_error_name_the_subcommand(self, capsys, monkeypatch, argv, message):
@@ -690,5 +708,5 @@ class TestDigitLimit:
     def test_long_option_value(self, capsys):
         # an option's integer, like a sequence entry, may be longer than the cap
         seed = "1" * 5000
-        assert main(["fuzz", "--trials", "1", "--dim", "1", "--seed", seed, "--format", "json", "--no-timestamp"]) == 0
+        assert main(["fuzz", "--trials", "1", "--dim", "1", "--seed", seed, "--format", "json"]) == 0
         assert f'"seed":"{seed}",' in capsys.readouterr().out

@@ -34,7 +34,6 @@ ODD = st.sampled_from(
 SMALL = st.integers(-3, 3)
 BIG = st.integers(-(10**39), 10**39)  # at most 40 characters
 FORMAT = st.sampled_from([[], ["--format", "json"], ["--format", "text"], ["--format", "xml"]])
-TIMESTAMP = st.sampled_from([[], ["--no-timestamp"]])
 JSON_JUNK = st.recursive(
     st.none() | st.booleans() | st.floats() | SMALL | JUNK | ODD,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(JUNK, inner, max_size=3),
@@ -159,7 +158,7 @@ def test_commands_on_malformed_input(data):
     else:
         positional, stdin = [payload], ""
     # an option keeps its value next to it, so no bounded value lands on another option
-    groups = [positional, *options, data.draw(FORMAT), data.draw(TIMESTAMP)]
+    groups = [positional, *options, data.draw(FORMAT)]
     groups = data.draw(st.permutations(groups), label="order")
     code, _, err = call_main([command, *(token for group in groups for token in group)], stdin)
     assert_clean(code, err)

@@ -561,7 +561,7 @@ def test_trace_report_renders_as_json(b):
         return
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        _emit_report(report, argparse.Namespace(format="json", no_timestamp=True))
+        _emit_report(report, argparse.Namespace(format="json"))
     payload = json.loads(out.getvalue())
     assert [(r["lhs"], r["rhs"]) for r in payload["checks"]] == [
         (r.lhs, r.rhs) for r in report.checks

@@ -7,7 +7,6 @@ import io
 import json
 import pickle
 import sys
-from datetime import datetime, timedelta
 from fractions import Fraction
 
 import pytest
@@ -35,11 +34,11 @@ BIG = 2**53
 EDGES = (BIG - 1, BIG, 1 - BIG, -BIG)  # the largest JSON-safe magnitude and the least past it
 
 
-def cli_json(report: CongruenceReport, stamp: bool = False) -> str:
+def cli_json(report: CongruenceReport) -> str:
     """The report as ``--format json`` prints it, without the newline."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        _emit_report(report, argparse.Namespace(format="json", no_timestamp=not stamp))
+        _emit_report(report, argparse.Namespace(format="json"))
     return out.getvalue().removesuffix("\n")
 
 
@@ -109,13 +108,6 @@ class TestReportWriters:
         lhs = [row["lhs"] for row in json.loads(cli_json(report))["checks"][8:12]]
         assert lhs == [BIG - 1, str(BIG), 1 - BIG, str(-BIG)]
 
-    def test_timestamp_is_the_last_key(self):
-        report = check_trace_sequence([1, 3, 5, 7, BIG], with_witness=True)
-        payload = json.loads(cli_json(report, stamp=True))
-        assert list(payload) == ["overall", "checks", "policy", "witness", "timestamp"]
-        assert datetime.fromisoformat(payload.pop("timestamp")).utcoffset() == timedelta(0)
-        assert payload == report_json_by_rows(report)
-
     @pytest.mark.parametrize("traces", [[1, 3, 4, 7], [0, 1, -BIG, 2**80]])
     def test_cli_bytes(self, capsys, monkeypatch, traces):
         report = check_trace_sequence(traces)
@@ -123,7 +115,7 @@ class TestReportWriters:
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         main(["check-traces", "-"])
         assert capsys.readouterr().out == report_text_by_rows(report) + "\n"
-        main(["check-traces", text, "--format", "json", "--no-timestamp"])
+        main(["check-traces", text, "--format", "json"])
         want = json.dumps(report_json_by_rows(report), separators=(",", ":"))
         assert capsys.readouterr().out == want + "\n"
 

@@ -1,8 +1,8 @@
 """Command-line surface: check, synthesize, convert, verify, fuzz.
 
 Exit codes: 0 all checks passed, 1 a congruence or synthesis check failed
-(a report is printed), 2 malformed input or usage.  ``--format json`` emits
-machine-readable output; the default text format prints aligned tables.
+(a report is printed), 2 malformed input or usage.  A value command prints one
+comma-separated line; a report command an aligned table, or ``--format json``.
 """
 
 from __future__ import annotations
@@ -76,11 +76,8 @@ def _emit_json(payload: dict, head: str = "{") -> None:
     print(head + json.dumps(payload, separators=(",", ":"))[1:])  # head: "{" and any members before payload's
 
 
-def _emit_values(values: Sequence[Scalar], args) -> int:
-    if args.format == "json":
-        _emit_json({"values": [encode_scalar(v) for v in values]})
-    else:
-        print(",".join(map(str, values)))
+def _emit_values(values: Sequence[Scalar]) -> int:
+    print(",".join(map(str, values)))
     return OK
 
 
@@ -154,19 +151,19 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_traces(args) -> int:
-    return _emit_values(trace_sequence(_matrix(args), args.count), args)
+    return _emit_values(trace_sequence(_matrix(args), args.count))
 
 
 def cmd_charpoly(args) -> int:
-    return _emit_values(char_poly_coeffs(_matrix(args)), args)
+    return _emit_values(char_poly_coeffs(_matrix(args)))
 
 
 def cmd_witt(args) -> int:
-    return _emit_values(witt_from_ghost(_sequence(args)), args)
+    return _emit_values(witt_from_ghost(_sequence(args)))
 
 
 def cmd_ghost(args) -> int:
-    return _emit_values(ghost_from_witt(_sequence(args, _rational, "rational"), args.count), args)
+    return _emit_values(ghost_from_witt(_sequence(args, _rational, "rational"), args.count))
 
 
 def cmd_check_character(args) -> int:
@@ -177,14 +174,14 @@ def cmd_check_exterior(args) -> int:
     return _emit_report(exterior_levels(_matrix(args), args.prime, args.kmax), args)
 
 
-def run_fuzz(trials: int, dim: int, entry_bound: int, seed: int) -> dict:
-    """Random-matrix oracle run; any violation means a bug somewhere."""
+def run_fuzz(trials: int, dim: int, seed: int) -> dict:
+    """Random-matrix oracle run, entries in [-3, 3]; any violation means a bug somewhere."""
     master = SplitMix64(seed)
     trial_seeds = [master.next_u64() for _ in range(trials)]
     counts = {"trace": 0, "exterior": 0}
     violations = []
     for index, trial_seed in enumerate(trial_seeds):
-        matrix = random_matrix(dim, entry_bound, trial_seed)
+        matrix = random_matrix(dim, 3, trial_seed)
         checks = [("trace", check_trace_sequence(trace_sequence(matrix, 4 * dim)).checks)]
         if 1 <= dim <= 4:
             checks += [("exterior", exterior_levels(matrix, p, 2).checks) for p in (2, 3)]
@@ -194,7 +191,7 @@ def run_fuzz(trials: int, dim: int, entry_bound: int, seed: int) -> dict:
     return {
         "trials": trials,
         "dim": dim,
-        "entry_bound": entry_bound,
+        "entry_bound": 3,
         "seed": seed,
         "trace_checks": counts["trace"],
         "exterior_checks": counts["exterior"],
@@ -204,7 +201,7 @@ def run_fuzz(trials: int, dim: int, entry_bound: int, seed: int) -> dict:
 
 
 def cmd_fuzz(args) -> int:
-    summary = run_fuzz(args.trials, args.dim, args.entry_bound, args.seed)
+    summary = run_fuzz(args.trials, args.dim, args.seed)
     if args.format == "json":
         _emit_json({key: encode_int(v) if isinstance(v, int) else v for key, v in summary.items()})
     else:
@@ -250,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, help_text, operand=None, operand_help=None):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", choices=("text", "json"), default="text")
         if operand:
             p.add_argument(operand, help=operand_help)
         p.set_defaults(func=func)
@@ -269,13 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     command("charpoly", cmd_charpoly, "characteristic coefficients of det(1+tf)", *matrix)
     command("check-character", cmd_check_character, "check a character table's congruences", *table)
     exterior = command("check-exterior", cmd_check_exterior, "check exterior-power congruences of a matrix", *matrix)
+    fz = command("fuzz", cmd_fuzz, "random-matrix oracle run")
+    for report in ("check-traces", "synthesize", "check-character", "check-exterior", "fuzz"):  # the report commands
+        sub.choices[report].add_argument("--format", choices=("text", "json"), default="text")
     exterior.add_argument("--prime", type=_integer(prime=True), required=True)
     exterior.add_argument("--kmax", type=_integer(1), default=1)
-    fz = command("fuzz", cmd_fuzz, "random-matrix oracle run")
     fz.add_argument("--seed", type=_integer(), default=0, help="PRNG seed of the trial matrices")
     fz.add_argument("--trials", type=_integer(1), default=100)
     fz.add_argument("--dim", type=_integer(0), default=4)
-    fz.add_argument("--entry-bound", type=_integer(1), default=3)
 
     return parser
 

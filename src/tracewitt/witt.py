@@ -16,7 +16,7 @@ a short coefficient vector is implicitly padded with zeros.
 
 Both ghost maps are a sieve: ``-t d/dt log`` of the product is
 ``sum_d sum_j d * x_d^j * t^(d*j)``, so x_d reaches b_d, b_2d, ... through
-running powers, one multiply each -- O(N log N) big-integer multiplies for N
+the running term d * x_d^j, one multiply each -- O(N log N) multiplies for N
 components, no divisor lists.  Coefficients and Witt coordinates meet in
 their traces, since the ghosts are the traces: Newton's identities (O(N*r)
 for degree r, O(N^2) once a congruence fails) composed with the sieve.
@@ -87,10 +87,10 @@ def _witt(ghosts: Sequence[Scalar]) -> tuple[Scalar, ...]:
             x = residue / n
         residues[n - 1] = x
         if x:
-            power = x
+            term = n * x
             for m in range(2 * n - 1, len(residues), n):
-                power *= x
-                residues[m] -= n * power
+                term *= x
+                residues[m] -= term
     return tuple(residues)
 
 
@@ -114,8 +114,9 @@ def coeffs_to_witt(coeffs: Sequence[Scalar], n_max: int | None = None) -> tuple[
     >>> coeffs_to_witt([2], 4)
     (2, 0, 0, 0)
     """
+    coeffs = exact_entries(coeffs)  # checked once, then measured and sliced
     n = len(coeffs) if n_max is None else _exact_int(n_max, "n_max", 0)
-    used = exact_entries(coeffs)[:n]
+    used = coeffs[:n]
     return _promoted(_witt(_elementary_to_traces(used, n)), used)
 
 
@@ -130,6 +131,7 @@ def witt_to_coeffs(witt: Sequence[Scalar], n_max: int | None = None) -> tuple[Sc
     >>> witt_to_coeffs([1, 1])
     (1, -1)
     """
+    witt = exact_entries(witt)
     n = len(witt) if n_max is None else n_max
     return _promoted(_traces_to_elementary(ghost_from_witt(witt, n)), witt[:n])
 
@@ -147,11 +149,11 @@ def ghost_from_witt(witt: Sequence[Scalar], n_max: int) -> tuple[Scalar, ...]:
     ghosts: list[Scalar] = [0] * _exact_int(n_max, "n_max", 0)
     for d, x in enumerate(exact_entries(witt)[:n_max], start=1):
         if x:
-            power = x
-            ghosts[d - 1] += d * x
+            term = d * x
+            ghosts[d - 1] += term
             for n in range(2 * d - 1, n_max, d):
-                power *= x
-                ghosts[n] += d * power
+                term *= x
+                ghosts[n] += term
     return tuple(ghosts)
 
 

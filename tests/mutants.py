@@ -95,14 +95,15 @@ MUTANTS = (
         "test_congruences.py",
     ),
     Mutant("congruences.py", SPRP_CHAIN, SPRP_CHAIN.replace("n - 1 not in", "n + 1 not in"), "test_congruences.py"),
-    # the Witt sieve's first multiple of n is 2n, at index 2n - 1; each ghost term carries its d
+    # the Witt sieve's first multiple of n is 2n, at index 2n - 1; each running term carries its d (or n)
     Mutant(
         "witt.py",
         "for m in range(2 * n - 1, len(residues), n):",
         "for m in range(2 * n, len(residues), n):",
         "test_witt.py",
     ),
-    Mutant("witt.py", "ghosts[d - 1] += d * x", "ghosts[d - 1] += x", "test_witt.py"),
+    Mutant("witt.py", "term = d * x", "term = x", "test_witt.py"),
+    Mutant("witt.py", "term = n * x", "term = x", "test_witt.py"),
     # Newton's identities: the n * e_n term
     Mutant("newton.py", "acc += n * signed[n - 1]", "acc += signed[n - 1]", "test_newton.py"),
     # the report counts its failing rows

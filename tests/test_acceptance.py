@@ -243,7 +243,7 @@ def test_criterion_10_fuzz_determinism():
     start = time.perf_counter()
     args = [
         sys.executable, "-m", "tracewitt", "fuzz",
-        "--trials", "25", "--dim", "3", "--entry-bound", "3",
+        "--trials", "25", "--dim", "3",
         "--seed", "31337", "--format", "json",
     ]
     first = subprocess.run(args, capture_output=True)

@@ -137,10 +137,6 @@ class TestConversions:
         proc = run_cli("ghost", "0,1/2", "--count", "2")
         assert proc.stdout.strip() == "0,1"
 
-    def test_values_json_format(self):
-        proc = run_cli("witt", "0,1", "--format", "json")
-        assert json.loads(proc.stdout) == {"values": [0, "1/2"]}
-
 
 class TestCharacterCommand:
     def test_regular_table_passes(self, tmp_path):
@@ -239,13 +235,9 @@ class TestExteriorCommand:
 FIB = '{"dim": 2, "entries": [[0, 1], [1, 1]]}'
 
 # (argv, stdin) of one passing call of each subcommand
-EVERY_SUBCOMMAND = [
+EVERY_REPORT_COMMAND = [
     (["check-traces", "1,3"], ""),
     (["synthesize", "1,3"], ""),
-    (["witt", "0,1"], ""),
-    (["ghost", "1/2", "--count", "3"], ""),
-    (["traces", "-", "--count", "4"], FIB),
-    (["charpoly", "-"], FIB),
     (["check-character", "-"], '{"order": 2, "values": {"0": 2, "1": 0}}'),
     (["check-exterior", "-", "--prime", "2", "--kmax", "2"], FIB),
     (["fuzz", "--trials", "2", "--dim", "2"], ""),
@@ -253,10 +245,11 @@ EVERY_SUBCOMMAND = [
 
 
 def test_json_output_is_a_function_of_the_input(capsys, monkeypatch):
-    # no wall-clock field: two runs of each subcommand print the same bytes
+    # no wall-clock field: two runs of each subcommand that takes --format print the same bytes
     (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    assert [argv[0] for argv, _ in EVERY_SUBCOMMAND] == list(sub.choices)
-    for argv, stdin in EVERY_SUBCOMMAND:
+    takes_format = [name for name, p in sub.choices.items() if any(a.dest == "format" for a in p._actions)]
+    assert [argv[0] for argv, _ in EVERY_REPORT_COMMAND] == takes_format
+    for argv, stdin in EVERY_REPORT_COMMAND:
         outputs = []
         for _ in range(2):
             monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
@@ -284,18 +277,18 @@ class TestFuzz:
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
     def test_summary_counts(self, capsys):
-        summary = run_fuzz(trials=3, dim=2, entry_bound=2, seed=5)
+        summary = run_fuzz(trials=3, dim=2, seed=5)
         # 8 trace checks per trial (N=8: one row per prime-power part)
         assert summary["trials"] == 3
         assert summary["ok"] is True
         assert summary["trace_checks"] > 0
         assert summary["exterior_checks"] == 3 * 2 * 2 * 2  # trials * primes * k * dim
         # JSON writes summary integers past 2^53 - 1 as strings, text as they are
-        argv = ["fuzz", "--trials", "1", "--dim", "1", "--seed", str(2**64), "--entry-bound", str(10**19)]
+        argv = ["fuzz", "--trials", "1", "--dim", "1", "--seed", str(2**64)]
         assert main([*argv, "--format", "json"]) == 0
-        assert f'"entry_bound":"{10**19}","seed":"{2**64}",' in capsys.readouterr().out
+        assert f'"entry_bound":3,"seed":"{2**64}",' in capsys.readouterr().out
         assert main(argv) == 0
-        assert f"entry_bound: {10**19}\nseed: {2**64}\n" in capsys.readouterr().out
+        assert f"entry_bound: 3\nseed: {2**64}\n" in capsys.readouterr().out
 
 
 class TestInProcessMain:
@@ -379,15 +372,15 @@ class TestParserSurface:
     """Every settable value has a caller, and each input comes in one way."""
 
     DESTS = {
-        "check-traces": ("format", "values"),
-        "synthesize": ("format", "values"),
-        "witt": ("format", "values"),
-        "ghost": ("format", "values", "count"),
-        "traces": ("format", "matrix", "count"),
-        "charpoly": ("format", "matrix"),
-        "check-character": ("format", "table"),
-        "check-exterior": ("format", "matrix", "prime", "kmax"),
-        "fuzz": ("format", "seed", "trials", "dim", "entry_bound"),
+        "check-traces": ("values", "format"),
+        "synthesize": ("values", "format"),
+        "witt": ("values",),
+        "ghost": ("values", "count"),
+        "traces": ("matrix", "count"),
+        "charpoly": ("matrix",),
+        "check-character": ("table", "format"),
+        "check-exterior": ("matrix", "format", "prime", "kmax"),
+        "fuzz": ("format", "seed", "trials", "dim"),
     }
 
     def test_option_dests_per_subcommand(self):
@@ -398,7 +391,7 @@ class TestParserSurface:
             for name, command in sub.choices.items()
         }
         assert got == self.DESTS
-        assert sum(map(len, got.values())) == 25
+        assert sum(map(len, got.values())) == 20
 
     # what an option's type reads from each probe: the value, or None where it refuses the probe
     PROBES = ("-1", "0", "1", "2", "4")
@@ -417,13 +410,13 @@ class TestParserSurface:
                 values.append(None)
         return tuple(values)
 
-    # (dest, help, what its type reads, default, required) of each argument after the common one
-    COMMON = (("format", None, None, "text", False),)
+    # (dest, help, what its type reads, default, required) of each argument; only a report command takes FORMAT
+    FORMAT = ("format", None, None, "text", False)
     VALUES = ("values", "comma-separated values ('-' for stdin)", None, None, True)
     MATRIX = ("matrix", "matrix JSON file ('-' for stdin)", None, None, True)
     SPECS = {
-        "check-traces": ("check the trace-sequence congruences", VALUES),
-        "synthesize": ("build a witness matrix for a sequence", VALUES),
+        "check-traces": ("check the trace-sequence congruences", VALUES, FORMAT),
+        "synthesize": ("build a witness matrix for a sequence", VALUES, FORMAT),
         "witt": ("Witt coordinates of a trace sequence", VALUES),
         "ghost": (
             "ghost components of Witt coordinates (rationals allowed)",
@@ -439,19 +432,21 @@ class TestParserSurface:
         "check-character": (
             "check a character table's congruences",
             ("table", "character table JSON file ('-' for stdin)", None, None, True),
+            FORMAT,
         ),
         "check-exterior": (
             "check exterior-power congruences of a matrix",
             MATRIX,
+            FORMAT,
             ("prime", None, PRIME, None, True),
             ("kmax", None, AT_LEAST_1, 1, False),
         ),
         "fuzz": (
             "random-matrix oracle run",
+            FORMAT,
             ("seed", "PRNG seed of the trial matrices", ANY, 0, False),
             ("trials", None, AT_LEAST_1, 100, False),
             ("dim", None, AT_LEAST_0, 4, False),
-            ("entry_bound", None, AT_LEAST_1, 3, False),
         ),
     }
 
@@ -468,7 +463,7 @@ class TestParserSurface:
             )
             for choice in sub._choices_actions
         }
-        assert got == {name: (line, *self.COMMON, *args) for name, (line, *args) in self.SPECS.items()}
+        assert got == self.SPECS
 
     @pytest.mark.parametrize(
         "argv",
@@ -495,9 +490,11 @@ INTEGER_OPTIONS = {
     "prime": ["check-exterior", "-", "--prime"],
     "trials": ["fuzz", "--dim", "1", "--trials"],
     "dim": ["fuzz", "--trials", "1", "--dim"],
-    "entry-bound": ["fuzz", "--trials", "1", "--dim", "1", "--entry-bound"],
     "seed": ["fuzz", "--trials", "1", "--dim", "1", "--seed"],
 }
+
+# Each value command in a call that passes as it is: it prints one comma-separated line.
+VALUE_COMMANDS = (["witt", "0,1"], ["ghost", "1", "--count", "3"], ["charpoly", "-"], ["traces", "-", "--count", "3"])
 
 
 class TestSubcommandValueErrors:
@@ -535,6 +532,23 @@ class TestSubcommandValueErrors:
                 )
                 for name, argv in INTEGER_OPTIONS.items()
                 for label, token in (("underscore", "1_1"), ("non-ascii", "\u0663"))
+            ),
+            # fuzz draws its entries from [-3, 3]: --entry-bound is refused whatever its value
+            *(
+                pytest.param(
+                    ["fuzz", "--trials", "1", "--dim", "1", "--entry-bound", token],
+                    f"unrecognized arguments: --entry-bound {token}",
+                    id=f"entry-bound-{label}",
+                )
+                for label, token in (("underscore", "1_1"), ("non-ascii", "\u0663"))
+            ),
+            pytest.param(["fuzz", "--entry-bound", "3"], "unrecognized arguments: --entry-bound 3", id="entry-bound"),
+            # a value command prints one comma-separated line: it takes no --format
+            *(
+                pytest.param(
+                    [*argv, "--format", "json"], "unrecognized arguments: --format json", id=f"{argv[0]}-format"
+                )
+                for argv in VALUE_COMMANDS
             ),
             pytest.param(["check-traces", "1,3", "--bogus"], "unrecognized arguments: --bogus", id="unknown-option"),
             pytest.param(["check-traces", "1,3", "4"], "unrecognized arguments: 4", id="extra-positional"),

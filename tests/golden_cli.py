@@ -43,8 +43,8 @@ def _commands() -> list[tuple[list[str], str, bool]]:
 
     def cmd(*argv: str, stdin: str = "", tail: bool = False, json_too: bool = False) -> None:
         out.append((list(argv), stdin, tail))
-        if json_too:  # a value command takes no --format: its twin is a usage error
-            out.append(([*argv, *JSON], stdin, tail or argv[0] in ("witt", "ghost", "traces", "charpoly")))
+        if json_too:
+            out.append(([*argv, *JSON], stdin, tail))
 
     passing = ("1,3", "1,3,4,7,11,18,29", "1 3 4 7", "1, 3", "", "5", "2,4,8,16")
     for values in (*passing, "0,1", "-2,3", "1,2,3,4,5,6,7,8"):
@@ -65,14 +65,17 @@ def _commands() -> list[tuple[list[str], str, bool]]:
     for bad in ("1,a", ",2", "2,4,,8"):
         cmd("synthesize", bad)
 
+    # a value command prints one comma-separated line: its --format json twin is a usage error
     for values in ("0,1", "2,4,8,16", "1,3,4,7", "1", ""):
-        cmd("witt", values, json_too=True)
+        cmd("witt", values)
+        cmd("witt", values, *JSON, tail=True)
     for bad in ("1/2", ",2", "1,2,", "2,4_0"):
         cmd("witt", bad)
 
     ghosts = (("1", "3"), ("0,1/2", "2"), ("-.5", "2"), ("-.5,.25", "3"), ("-1/2", "3"), (".5,.25", "4"))
     for values, count in (*ghosts, ("1", "0"), ("2,1", "6")):
-        cmd("ghost", values, "--count", count, json_too=True)
+        cmd("ghost", values, "--count", count)
+        cmd("ghost", values, "--count", count, *JSON, tail=True)
     cmd("ghost", "1/2,.5,+3,-0.25,007,2e1", "--count", "1")
     for bad in ("1,,2", "1/0", "1/2_0", "1,"):
         cmd("ghost", bad, "--count", "2")
@@ -81,7 +84,8 @@ def _commands() -> list[tuple[list[str], str, bool]]:
     cmd("ghost", "1", tail=True)
 
     for matrix, count in ((FIB, "6"), (FIB, "0"), (EMPTY, "3"), (THREE, "8"), (BIG, "3")):
-        cmd("traces", "-", "--count", count, stdin=matrix, json_too=True)
+        cmd("traces", "-", "--count", count, stdin=matrix)
+        cmd("traces", "-", "--count", count, *JSON, stdin=matrix, tail=True)
     for bad in (
         '{"dim": 2, "entries": [[1]]}',
         '{"dim": 1, "entries": [[true]]}',
@@ -97,7 +101,8 @@ def _commands() -> list[tuple[list[str], str, bool]]:
     cmd("traces", "-", stdin=FIB, tail=True)
 
     for matrix in (FIB, EMPTY, THREE, BIG, IDENTITY):
-        cmd("charpoly", "-", stdin=matrix, json_too=True)
+        cmd("charpoly", "-", stdin=matrix)
+        cmd("charpoly", "-", *JSON, stdin=matrix, tail=True)
     cmd("charpoly", "-", stdin='{"dim": 1, "entries": 5}')
     cmd("charpoly", "-", stdin='{"dim": -1, "entries": []}')
 

@@ -9,6 +9,7 @@ small ranges.  ``traces`` allocates nothing up front, so a huge ``--count``
 there would append until memory runs out; it is never drawn.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracewitt.cli import main
+from tracewitt.cli import build_parser, main
 
 # No digit of any script, so a junk token never reads as a number: numbers
 # come only from the bounded strategies below.  ODD holds tokens that the
@@ -125,7 +126,8 @@ COMMANDS = {
     ),
 }
 JSON_COMMANDS = {"traces", "charpoly", "check-exterior", "check-character"}
-REPORT_COMMANDS = {"check-traces", "synthesize", "check-exterior", "check-character", "fuzz"}  # they take --format
+(SUBCOMMANDS,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+REPORT_COMMANDS = {name for name, p in SUBCOMMANDS.items() if any(a.dest == "format" for a in p._actions)}
 
 
 def call_main(argv, stdin=""):

@@ -1,17 +1,17 @@
 """Paired A/B of this tree's tracewitt against an earlier commit, task by task.
 
-    python3 tools/ab.py --parent <rev> --workload {matrix,sequence,cli} [--passes N] [--seed S]
+    python3 tools/ab.py --parent <rev> --workload {matrix,sequence,cli}
 
 The parent's ``src/`` is extracted with ``git archive <rev> src | tar -x`` into
 a temporary directory, twice, and each tree (the parent, the candidate in this
 checkout's ``src/``, and the parent's second copy) is loaded in this one
 process as a package of its own.  The benchmark's seeded inputs for the
-workload (``bench/workloads.py``, which this script only reads) are bound to
-every tree.
+workload at seed 1 (``bench/workloads.py``, which this script only reads) are
+bound to every tree.
 
 Each task then runs on the three trees back to back, each call timed in thread
 CPU time.  The order of the three moves on by one of its six permutations
-from task to task and from pass to pass, so in six passes every task runs in
+from task to task and from pass to pass, so in its six passes every task runs in
 every order: the second of two calls on the same input is often the faster,
 by up to half on a short task.  Garbage is collected between tasks, not
 inside a timed call, as ``timeit`` does.  Every output is checked with the
@@ -46,6 +46,9 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 from ref import SplitMix64  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
+
+SEED = 1  # the input seed of the benchmark runs this compares with
+PASSES = 6  # one per order of the three trees
 
 
 def load(name: str, package: Path):
@@ -113,13 +116,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
-    parser.add_argument("--passes", type=int, default=6, help="passes over the workload's task list")
-    parser.add_argument("--seed", type=int, default=1, help="the benchmark's input seed")
     args = parser.parse_args(argv)
 
     workload = WORKLOADS[args.workload]
-    specs = workload.generate(SplitMix64(args.seed))
-    keys = [(spec["kind"], str(cell(spec))) for spec in specs] * args.passes
+    specs = workload.generate(SplitMix64(SEED))
+    keys = [(spec["kind"], str(cell(spec))) for spec in specs] * PASSES
     times: dict[str, list[int]] = {"parent": [], "candidate": [], "copy": []}  # ns per task run, in order
     orders = list(itertools.permutations(times))  # each tree first, second and third equally often
     failed = 0
@@ -145,7 +146,7 @@ def main(argv=None) -> int:
             gc.collect()
     for label, other in (("candidate/parent", "candidate"), ("copy/parent (A/A)", "copy")):
         line = summary(label, keys, times["parent"], times[other])
-        print(json.dumps({"workload": args.workload, "seed": args.seed, "passes": args.passes, **line}))
+        print(json.dumps({"workload": args.workload, **line}))
     return 1 if failed else 0
 
 

@@ -228,7 +228,7 @@ def _integer(low: int | None = None, prime: bool = False):
         value = parse_decimal(token)
         if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}")
-        if prime and value >= SPRP_BOUND:  # is_prime would fall back to trial division
+        if prime and value >= SPRP_BOUND:  # is_prime would refuse it, after hours of powers at 100k digits
             raise argparse.ArgumentTypeError(f"must be below {SPRP_BOUND}")
         if prime and not is_prime(value):
             raise argparse.ArgumentTypeError(f"{value} is not prime")

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .matrices import (
     IntMatrix,
@@ -32,7 +32,6 @@ from .matrices import (
     companion_matrix,
     decode_int,
     decode_object,
-    encode_int,
     mat_pow,
     trace_sequence,
 )
@@ -45,18 +44,19 @@ SPRP_BOUND = 3317044064679887385961981  # the least strong pseudoprime to every 
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality.  Below SPRP_BOUND, the least strong pseudoprime to the
-    prime bases 2..41, strong probable-prime tests to those bases decide it (Sorenson
-    and Webster, Math. Comp. 86, 2017); trial division at and above it."""
-    if _exact_int(n, "n") >= SPRP_BOUND:
-        return next(factor(n)) == (n, 1)
-    if n < 2 or any(n % a == 0 for a in _SPRP_BASES):
+    """Deterministic primality, or ValueError.  A failed strong probable-prime test to one of
+    the prime bases 2..41 proves n composite at any size.  Passing all 13 proves n prime below
+    SPRP_BOUND, the least strong pseudoprime to every one (Sorenson and Webster, Math. Comp. 86,
+    2017); at or above it no deterministic test is proven, so a pass raises ValueError."""
+    if _exact_int(n, "n") < 2 or any(n % a == 0 for a in _SPRP_BASES):
         return n in _SPRP_BASES
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
     for a in _SPRP_BASES:  # a^d is 1, or one of a^d, a^(2d), ..., a^(2^(s-1)*d) is -1 (mod n)
         x = pow(a, (n - 1) >> s, n)
         if x != 1 and n - 1 not in accumulate(repeat(n, s - 1), lambda y, m: y * y % m, initial=x):
             return False
+    if n >= SPRP_BOUND:  # n may be past the int/str digit limit, so the message never prints it
+        raise ValueError(f"primality is not proven at or above {SPRP_BOUND}: n passes every base")
     return True
 
 
@@ -66,21 +66,15 @@ def _require_prime(p: int, k: int, name: str = "k") -> None:
     _exact_int(k, name, 1)
 
 
-class PrimePower(NamedTuple):
-    """One part of a factorization: n = p**k * s with gcd(p, s) = 1."""
-
-    p: int
-    k: int
-    s: int
-
-
-def prime_power_split(n: int) -> tuple[PrimePower, ...]:
-    """Factor n into (p, k, s) parts with p ascending; n = 1 gives ().
+def prime_power_split(n: int) -> tuple[tuple[int, int, int], ...]:
+    """The parts (p, k, s) of n, with n = p**k * s, gcd(p, s) = 1 and p ascending; n = 1 gives ().
+    Trial division (``witt.factor``), so its time stays exponential in the digits of n,
+    unlike :func:`is_prime`.
 
     >>> prime_power_split(12)
-    (PrimePower(p=2, k=2, s=3), PrimePower(p=3, k=1, s=4))
+    ((2, 2, 3), (3, 1, 4))
     """
-    return tuple(PrimePower(p, k, n // p**k) for p, k in factor(n))
+    return tuple((p, k, n // p**k) for p, k in factor(n))
 
 
 @dataclass(frozen=True)
@@ -326,12 +320,6 @@ class CharacterTable:
     def value(self, exponent: int) -> int:
         return self.values[_exact_int(exponent, "exponent") % self.order]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "values": {str(e): encode_int(v) for e, v in enumerate(self.values)},
-        }
-
     @classmethod
     def from_json_dict(cls, obj: object) -> "CharacterTable":
         order, values = decode_object(obj, "character table JSON", ("order", "values"))
@@ -340,55 +328,37 @@ class CharacterTable:
         return cls(order, tuple(map(decode_int, values)))
 
 
-def character_check_bound(p: int, order: int, max_abs: int) -> int:
-    """Default exponent bound K(p) for :func:`check_character`.
-
-    The congruence family being checked quantifies over every k >= 1; a
-    finite run is honest because of two facts.  First, once ``p^k > 2 * max_abs`` the
-    congruence can only hold by outright equality of the two values.
-    Second, the residues ``p^k mod order`` are eventually periodic, so those
-    forced equalities repeat.  Checking up to
-
-        K(p) = max(k0, preperiod) + period,
-
-    where k0 is the smallest k with ``p^k > 2 * max_abs``, therefore covers
-    every larger k by repetition.
-    """
-    _exact_int(p, "p", 2)  # for p = 0 or 1, p^k would never pass 2 * max_abs
-    _exact_int(order, "order", 1)
-    _exact_int(max_abs, "max_abs", 0)
-    k0 = 1
-    while p**k0 <= 2 * max_abs:
-        k0 += 1
-    seen: dict[int, int] = {}
-    value = 1 % order
-    index = 0
-    while value not in seen:
-        seen[value] = index
-        value = value * p % order
-        index += 1
-    preperiod = seen[value]
-    period = index - preperiod
-    return max(k0, preperiod) + period
-
-
 def check_character(table: CharacterTable) -> CongruenceReport:
     """Check ``chi(g^(p^k)) == chi(g^(p^(k-1))) (mod p^k)`` on a table.
 
-    Runs over every prime p up to the element order and k from 1 to K(p),
-    the :func:`character_check_bound`, past which every congruence repeats
-    one already checked; so the run decides the whole family.  The policy
-    section of the report records the bounds used.  True characters always
-    pass; a corrupted table generally does not.
+    Runs over every prime p up to the element order m and k from 1 to
+
+        K(p) = max(k0, preperiod) + period,
+
+    where k0 is the smallest k with ``p^k > 2 * max_abs`` and preperiod and period are those
+    of the residues ``p^k mod m``.  Past k0 a congruence can only hold by equality of the two
+    values, and the residues repeat with that period, so every k > K(p) repeats a row already
+    checked: a PASS decides every k >= 1 for each prime p <= m.  Primes above m are not run,
+    and a PASS says nothing of them: on C_15, chi(g^14) = 2 and 1 elsewhere passes, yet p = 29,
+    which is 14 mod 15, asks 2 == 1 (mod 29).  The policy section of the report records each
+    K(p).  True characters always pass; a corrupted table generally does not.
     """
     m = table.order
     max_abs = max((abs(v) for v in table.values), default=0)
     spf = smallest_prime_factors(m)
-    bounds = {p: character_check_bound(p, m, max_abs) for p in range(2, m + 1) if spf[p] == p}
-    rows = []
-    for p, bound in bounds.items():
+    bounds, rows = {}, []
+    for p in (p for p in range(2, m + 1) if spf[p] == p):
+        k0 = 1
+        while p**k0 <= 2 * max_abs:
+            k0 += 1
+        first = {}  # p^k mod m -> the least such k, up to the first repeat
         exponent = 1 % m
-        for k in range(1, bound + 1):
+        while exponent not in first:
+            first[exponent] = len(first)
+            exponent = exponent * p % m
+        bounds[p] = max(k0, first[exponent]) + len(first) - first[exponent]
+        exponent = 1 % m
+        for k in range(1, bounds[p] + 1):
             next_exponent = exponent * p % m
             rows.append(_row(p**k, p, k, table.values[next_exponent], table.values[exponent]))
             exponent = next_exponent
@@ -403,7 +373,6 @@ def check_character(table: CharacterTable) -> CongruenceReport:
 
 __all__ = [
     "is_prime",
-    "PrimePower",
     "prime_power_split",
     "CongruenceRow",
     "CongruenceReport",
@@ -415,6 +384,5 @@ __all__ = [
     "check_exterior_congruence",
     "exterior_via_compound",
     "CharacterTable",
-    "character_check_bound",
     "check_character",
 ]

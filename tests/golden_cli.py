@@ -7,6 +7,10 @@ runs each command through ``tracewitt.cli.main`` in-process, with its stdin and
 replays the file.  A change that alters CLI output regenerates it and records the
 change in CHANGES.md.  Importing this module runs nothing.
 
+Each case carries its test id.  Regenerating keeps the id a command already has, so
+adding or deleting a command renames no other test; a new command is named by its
+argv, a digest of its stdin, and a count for a repeat.
+
 Bytes that Python itself words are not pinned, so that one file holds on every
 supported version: a command marked ``tail`` (an argparse usage error, or an error
 whose text comes from the JSON decoder or an ``OSError``) pins only its exit code and
@@ -16,6 +20,7 @@ the last line of stderr, and no ``--help`` is listed.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -172,8 +177,41 @@ def record(argv: list[str], stdin: str, tail: bool) -> dict:
     return {"argv": argv, "stdin": stdin, "exit": code, **pinned}
 
 
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:8]
+
+
+def new_id(argv: list[str], stdin: str, taken: set[str]) -> str:
+    """The test id of a command new to the corpus, under 80 characters as pytest prints it: the
+    argv (past 60 characters cut to 52 and a digest of the whole), ``<`` and a digest of a
+    nonempty stdin, and `` #2``, `` #3``, ... when that id is taken."""
+    text = " ".join(argv).encode("ascii", "backslashreplace").decode() or "(no arguments)"
+    if len(text) > 60:
+        text = f"{text[:52]}~{_digest(text)}"
+    if stdin:
+        text += f" <{_digest(stdin)}"
+    name, count = text, 1
+    while name in taken:
+        count += 1
+        name = f"{text} #{count}"
+    return name
+
+
+def case_ids(commands: list[tuple[list[str], str, bool]], recorded: list[dict]) -> list[str]:
+    """The id of each command: the one ``recorded`` gives its argv and stdin, else a new one."""
+    known = {(tuple(case["argv"]), case["stdin"]): case["id"] for case in recorded}
+    taken = set(known.values())
+    ids = []
+    for argv, stdin, _ in commands:
+        ids.append(known.get((tuple(argv), stdin)) or new_id(argv, stdin, taken))
+        taken.add(ids[-1])
+    return ids
+
+
 def main() -> None:
-    cases = [record(argv, stdin, tail) for argv, stdin, tail in COMMANDS]
+    recorded = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else []
+    ids = case_ids(COMMANDS, recorded)
+    cases = [{"id": i, **record(argv, stdin, tail)} for i, (argv, stdin, tail) in zip(ids, COMMANDS)]
     GOLDEN.write_text(json.dumps(cases, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
     print(f"wrote {len(cases)} commands to {GOLDEN.name}")
 

@@ -95,6 +95,8 @@ MUTANTS = (
         "test_congruences.py",
     ),
     Mutant("congruences.py", SPRP_CHAIN, SPRP_CHAIN.replace("n - 1 not in", "n + 1 not in"), "test_congruences.py"),
+    # a pass at the pseudoprime bound itself is refused, not called prime
+    Mutant("congruences.py", "if n >= SPRP_BOUND:", "if n > SPRP_BOUND:", "test_congruences.py"),
     # the Witt sieve's first multiple of n is 2n, at index 2n - 1; each running term carries its d (or n)
     Mutant(
         "witt.py",

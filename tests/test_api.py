@@ -17,11 +17,9 @@ PUBLIC = [
     "CongruenceRow",
     "IntMatrix",
     "InvalidTraceSequenceError",
-    "PrimePower",
     "SplitMix64",
     "__version__",
     "char_poly_coeffs",
-    "character_check_bound",
     "check_character",
     "check_exterior_congruence",
     "check_matrix_congruences",
@@ -94,9 +92,6 @@ INTEGER_PARAMETERS = {
     "check_matrix_congruences-k_max": (lambda v: tracewitt.check_matrix_congruences(F, 2, v), "k_max", 1),
     "check_exterior_congruence-k": (lambda v: tracewitt.check_exterior_congruence(F, 2, v), "k", 1),
     "exterior_via_compound-k": (lambda v: tracewitt.exterior_via_compound(F, 2, v), "k", 1),
-    "character_check_bound-p": (lambda v: tracewitt.character_check_bound(v, 4, 1), "p", 2),
-    "character_check_bound-order": (lambda v: tracewitt.character_check_bound(2, v, 1), "order", 1),
-    "character_check_bound-max_abs": (lambda v: tracewitt.character_check_bound(2, 4, v), "max_abs", 0),
     "SplitMix64-seed": (tracewitt.SplitMix64, "seed", None),
     "SplitMix64.below-n": (lambda v: tracewitt.SplitMix64(0).below(v), "n", 1),
     "SplitMix64.integer-lo": (lambda v: tracewitt.SplitMix64(0).integer(v, 3), "lo", None),

@@ -514,7 +514,7 @@ class TestSubcommandValueErrors:
             pytest.param(
                 ["check-exterior", "-", "--prime", "4"], "argument --prime: 4 is not prime", id="exterior-prime"
             ),
-            # at and above the bound is_prime is trial division: days on this 25-digit semiprime
+            # at and above the bound is_prime proves no prime, and a 100k-digit --prime would take it hours
             pytest.param(
                 ["check-exterior", "-", "--prime", "3317044064679887385961981"],
                 "argument --prime: must be below 3317044064679887385961981",

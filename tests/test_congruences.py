@@ -6,6 +6,7 @@ import io
 import json
 import re
 import sys
+import time
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -17,8 +18,6 @@ from tracewitt import (
     CharacterTable,
     IntMatrix,
     InvalidTraceSequenceError,
-    PrimePower,
-    character_check_bound,
     check_character,
     check_exterior_congruence,
     check_matrix_congruences,
@@ -33,7 +32,7 @@ from tracewitt import (
     trace_sequence,
 )
 from tracewitt.cli import _emit_report
-from tracewitt.congruences import CongruenceRow, exterior_levels
+from tracewitt.congruences import SPRP_BOUND, CongruenceRow, exterior_levels
 from tracewitt.witt import factor, smallest_prime_factors
 
 from .oracles import (
@@ -55,14 +54,46 @@ def test_is_prime_small_table():
     for factors in ((151, 751, 28351), (149491, 747451, 34233211), (399165290221, 798330580441)):
         assert not is_prime(prod(factors))
     assert is_prime(2**61 - 1) and is_prime(10**14 + 31) and not is_prime(10000004400000259)
-    # trial division decides n at or above the pseudoprime bound: composites with a small factor
-    # (a prime there would take days, so none is tested)
+    # at or above the pseudoprime bound a failed base still proves n composite, with or without a
+    # small factor; a number that passes every base there is refused (TestPrimalityBound)
     assert not any(map(is_prime, (3317044064679887385961982, 3 * 10**30, 7 * (2**89 - 1), 1009**9)))
     spf = smallest_prime_factors(2000)
     assert len(spf) == 2001 and spf[:2] == [0, 1]
     assert [n for n in range(2, 2001) if spf[n] == n] == sieve_primes(2000)
     assert all(spf[n] == next(factor(n))[0] for n in range(2, 2001))
     assert smallest_prime_factors(0) == [0] and smallest_prime_factors(-1) == []
+
+
+class TestPrimalityBound:
+    """At or above SPRP_BOUND, is_prime proves compositeness or refuses: it never says prime."""
+
+    @pytest.mark.parametrize("n", [SPRP_BOUND, 2**89 - 1, 2**127 - 1], ids=["bound", "M89", "M127"])
+    def test_numbers_that_pass_every_base_are_refused(self, n):
+        # the bound is a strong pseudoprime to all 13 bases; the Mersenne numbers are prime
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"^primality is not proven at or above {SPRP_BOUND}: "):
+            is_prime(n)
+        assert time.perf_counter() - start < 0.1
+
+    def test_checks_refuse_a_prime_they_cannot_prove(self):
+        # every check that takes a prime p inherits is_prime's rule through _require_prime
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^primality is not proven"):
+            check_exterior_congruence(IntMatrix.from_rows([[2]]), 2**89 - 1, 1)
+        assert time.perf_counter() - start < 0.1
+
+    def test_composites_without_a_small_factor(self):
+        # a failed base proves these composite: no trial divisor below 2^61 - 1 and 2^89 - 1
+        assert not is_prime((2**61 - 1) * (2**89 - 1)) and not is_prime((2**89 - 1) ** 2)
+
+    @given(st.integers(SPRP_BOUND, 2**256))
+    def test_never_true_at_or_above_the_bound(self, n):
+        with contextlib.suppress(ValueError):  # refused: it passes every base
+            assert is_prime(n) is False
+
+    @given(st.sampled_from(sieve_primes(1000)), st.integers(0, 2**200))
+    def test_a_multiple_of_a_small_prime_is_composite(self, q, extra):
+        assert is_prime(q * (SPRP_BOUND // q + 1 + extra)) is False
 
 
 @pytest.mark.parametrize(
@@ -89,8 +120,8 @@ def test_scalar_parameters_refuse_floats_and_bools(call, name):
 
 class TestPrimePowerSplit:
     def test_examples(self):
-        assert prime_power_split(12) == (PrimePower(2, 2, 3), PrimePower(3, 1, 4))
-        assert prime_power_split(8) == (PrimePower(2, 3, 1),)
+        assert prime_power_split(12) == ((2, 2, 3), (3, 1, 4))
+        assert prime_power_split(8) == ((2, 3, 1),)
         assert prime_power_split(1) == ()
 
     def test_rejects_zero(self):
@@ -378,8 +409,8 @@ class TestCharacterTable:
         assert t.value(7) == t.value(1) == 1
 
     def test_json_round_trip(self):
-        t = CharacterTable(4, (4, 0, -2, 0))
-        assert CharacterTable.from_json_dict(t.to_json_dict()) == t
+        payload = {"order": 4, "values": {"0": 4, "1": 0, "2": -2, "3": 0}}
+        assert CharacterTable.from_json_dict(payload) == CharacterTable(4, (4, 0, -2, 0))
 
     def test_json_missing_residue(self):
         with pytest.raises(ValueError):
@@ -390,10 +421,8 @@ class TestCharacterTable:
             CharacterTable.from_json_dict({"order": 1, "values": {"0": 1, "1": 2}})
 
     def test_json_big_values_round_trip(self):
-        t = CharacterTable(2, (2**60, -(2**60)))
-        payload = t.to_json_dict()
-        assert payload["values"]["0"] == str(2**60)
-        assert CharacterTable.from_json_dict(payload) == t
+        payload = {"order": 2, "values": {"0": str(2**60), "1": str(-(2**60))}}
+        assert CharacterTable.from_json_dict(payload) == CharacterTable(2, (2**60, -(2**60)))
 
     def test_rejects_wrong_count(self):
         with pytest.raises(ValueError):
@@ -482,11 +511,22 @@ class TestCheckCharacter:
         assert check_character(table).overall == (not deep)
 
     def test_bound_grows_with_values(self):
-        assert character_check_bound(2, 6, 1000) > character_check_bound(2, 6, 1)
+        def bound(values):
+            return check_character(CharacterTable(6, values)).policy["k_bounds"]["2"]
+
+        assert bound((1000,) + (0,) * 5) > bound((1,) + (0,) * 5)
 
     def test_bound_covers_forcing_threshold(self):
-        k = character_check_bound(3, 7, 50)
+        k = check_character(CharacterTable(7, (50,) + (0,) * 6)).policy["k_bounds"]["3"]
         assert 3**k > 2 * 50
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3: primes above the order are not run")
+    def test_pass_holds_for_primes_above_the_order(self):
+        # on C_15, 29 is 14 mod 15, so the k = 1 row at p = 29 compares chi(g^14) = 2 with chi(g) = 1 mod 29;
+        # item 3 removes this marker once the check runs such primes and the test passes
+        values = (1,) * 14 + (2,)
+        assert character_violations(15, values, [29], 1)
+        assert not check_character(CharacterTable(15, values)).overall
 
 
 def test_kernel_builds_no_matrix_power(monkeypatch):
